@@ -16,9 +16,7 @@
    verdicts, for any --jobs value. Exit status: 0 all programs agreed,
    1 at least one divergence, 2 junk flag values.
 
-   A campaign is a Dts_job.Job fuzz batch evaluated through Dts_job.Run —
-   the same path the dtsvliw_serve campaign daemon shards across worker
-   processes, so CLI and server output are byte-identical. *)
+   A campaign is a Dts_job.Job fuzz batch evaluated through Dts_job.Run. *)
 
 open Cmdliner
 open Dts_job

@@ -15,8 +15,9 @@
    workers, with the reports printed in the order given.
 
    The CLI is a thin flag -> Dts_job.Job.t adapter: the simulation and the
-   report text live in Dts_job.Run, shared byte-for-byte with the
-   dtsvliw_serve campaign daemon. *)
+   report text live in Dts_job.Run. Output files (--trace, --stats-json)
+   are opened before the run, so an unwritable path exits 2 at once; a
+   malformed program file is reported as FILE:LINE: message and exits 1. *)
 
 open Cmdliner
 open Dts_job
@@ -25,14 +26,26 @@ let usage_one_source () =
   prerr_endline "specify exactly one of --workload NAME or a program file";
   exit 1
 
-let write_stats_json path outcome =
-  match (path, outcome.Run.stats_json) with
-  | Some path, Some doc ->
-    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc doc)
-  | _ -> ()
+(* Report a malformed program file the way dtsasm and tinycc do. *)
+let with_program_errors path f =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline msg;
+        exit Cli.task_failure)
+      fmt
+  in
+  try f () with
+  | Dts_asm.Assembler.Error { line; msg } -> fail "%s:%d: %s" path line msg
+  | Dts_tinyc.Lexer.Error { line; msg } ->
+    fail "%s:%d: lexical error: %s" path line msg
+  | Dts_tinyc.Parser.Error { line; msg } ->
+    fail "%s:%d: parse error: %s" path line msg
+  | Dts_tinyc.Codegen.Error msg -> fail "%s: %s" path msg
 
 let run_single ~job ~optcheck ~trace_file ~trace_limit ~stats_json =
-  let trace_oc = Option.map open_out trace_file in
+  let trace_oc = Option.map Cli.open_out_or_die trace_file in
+  let stats_oc = Option.map Cli.open_out_or_die stats_json in
   let tracer =
     match trace_oc with
     | None -> Dts_obs.Trace.null
@@ -40,7 +53,10 @@ let run_single ~job ~optcheck ~trace_file ~trace_limit ~stats_json =
   in
   let outcome = Run.run ~tracer ~optcheck job in
   print_string outcome.Run.text;
-  write_stats_json stats_json outcome;
+  (match (stats_oc, outcome.Run.stats_json) with
+  | Some oc, Some doc -> output_string oc doc
+  | _ -> ());
+  Option.iter close_out stats_oc;
   Dts_obs.Trace.close tracer;
   Option.iter close_out trace_oc;
   if outcome.Run.exit_code <> 0 then exit outcome.Run.exit_code
@@ -103,8 +119,9 @@ let run workloads file scale budget jobs backend feasible dif no_compile
     run_single ~job:(job_of (Job.Builtin w)) ~optcheck ~trace_file ~trace_limit
       ~stats_json
   | [], Some path ->
-    run_single ~job:(job_of (Job.File path)) ~optcheck ~trace_file ~trace_limit
-      ~stats_json
+    with_program_errors path (fun () ->
+        run_single ~job:(job_of (Job.File path)) ~optcheck ~trace_file
+          ~trace_limit ~stats_json)
   | _ :: _ :: _, Some _ -> usage_one_source ()
   | (_ :: _ :: _ as workloads), None ->
     if trace_file <> None || stats_json <> None then begin

@@ -8,22 +8,25 @@
    --jobs fans each figure's simulations out over that many workers; the
    rendered output is bit-identical to a sequential run. Each named
    experiment becomes a Dts_job.Job figure descriptor evaluated through
-   Dts_job.Run — the same path the dtsvliw_serve campaign daemon uses, so
-   CLI and server output are byte-identical by construction.
+   Dts_job.Run.
 
    --alloc-json FILE additionally records, per experiment, the number of
    instructions simulated and the minor/major heap words allocated while
-   regenerating it, as a small JSON document. `stats_check --bench
-   BASELINE --alloc FILE` gates those counts against the committed bench
-   baseline, so the sequential fast path's allocation win cannot silently
-   erode. Allocation accounting is per-domain in OCaml, so this is only
-   meaningful sequentially; combining it with --jobs > 1 is an error.
+   regenerating it, as a small JSON document. `stats_check --alloc
+   BASELINE FILE` gates those counts against the committed baseline in
+   the same format (bin/alloc_baseline.json), so the sequential fast
+   path's allocation win cannot silently erode. Allocation accounting is
+   per-domain in OCaml, so this is only meaningful sequentially; combining
+   it with --jobs > 1 is an error.
 
    --optgap-json FILE records the optgap figure's per-row oracle numbers
    (blocks, greedy long instructions, certified optimal lower/upper
    bounds, certified block count, search nodes) as JSON, for the
    `stats_check --optgap` gate. Only meaningful when the single requested
-   experiment is `optgap`; the printed text is unchanged. *)
+   experiment is `optgap`; the printed text is unchanged.
+
+   Both JSON files are opened before any simulation, so an unwritable path
+   exits 2 at once. *)
 
 open Cmdliner
 open Dts_job
@@ -35,8 +38,7 @@ type alloc_row = {
   a_major_words : int;
 }
 
-let write_alloc_json path ~budget rows =
-  let oc = open_out path in
+let write_alloc_json oc ~budget rows =
   let row r =
     Printf.sprintf
       "    {\"name\": %S, \"instructions\": %d, \"minor_words\": %d, \
@@ -55,8 +57,7 @@ let write_alloc_json path ~budget rows =
     (String.concat ",\n" (List.map row rows));
   close_out oc
 
-let write_optgap_json path ~budget (fig : Dts_experiments.Experiments.figure) =
-  let oc = open_out path in
+let write_optgap_json oc ~budget (fig : Dts_experiments.Experiments.figure) =
   let nw = List.length Dts_experiments.Experiments.workload_names in
   let row i (r : Dts_experiments.Experiments.run) =
     let gs =
@@ -122,9 +123,11 @@ let run_experiments names scale budget jobs backend alloc_json optgap_json =
       "experiments: --optgap-json applies to exactly one experiment: optgap";
     exit 1
   end;
+  let alloc_json = Option.map Cli.open_out_or_die alloc_json in
+  let optgap_json = Option.map Cli.open_out_or_die optgap_json in
   (match optgap_json with
   | None -> ()
-  | Some path ->
+  | Some oc ->
     (* the figure generator directly rather than Run.run — identical
        rendered text, plus access to the per-row oracle summaries the
        JSON document records *)
@@ -137,7 +140,7 @@ let run_experiments names scale budget jobs backend alloc_json optgap_json =
       else gen ()
     in
     print_string (fig.Dts_experiments.Experiments.render () ^ "\n");
-    write_optgap_json path ~budget fig;
+    write_optgap_json oc ~budget fig;
     exit 0);
   (* the alloc gate measures per-instruction simulation allocation, so the
      one-time tinyc compilations must not land inside the counted window:
@@ -174,7 +177,7 @@ let run_experiments names scale budget jobs backend alloc_json optgap_json =
     Dts_parallel.Pool.with_pool ~backend ~jobs (fun pool -> render (Some pool))
   else render None;
   match alloc_json with
-  | Some path -> write_alloc_json path ~budget (List.rev !alloc_rows)
+  | Some oc -> write_alloc_json oc ~budget (List.rev !alloc_rows)
   | None -> ()
 
 let names_arg =

@@ -6,35 +6,33 @@
    attribution categories sum to the machine cycle count (and the
    VLIW-side categories to the VLIW cycle count).
 
-   `--bench` mode validates a BENCH_RESULTS.json baseline instead
-   (schema v5): top-level budget/jobs/host_cores, one entry per figure
-   with both wall clocks (parallel wall and the sequential pass) and the
-   sequential pass's allocation counts (minor/major heap words),
-   per-figure consistency (positive walls, attributed = cycles,
-   non-negative allocation), and the mandatory "primary_only" row of
-   standalone golden/primary interpreter throughput. A baseline written
-   under a different schema version fails loudly — cross-schema baselines
-   are not comparable and must be regenerated, not hand-edited.
-
-   `--bench BASELINE --alloc FRESH` additionally gates allocation: FRESH
-   is a document written by `experiments --alloc-json` at the baseline's
-   budget, and any figure whose fresh minor-heap words exceed the
-   committed baseline's by more than 25% fails the check. Simulation is
-   deterministic, so the allocation counts are reproducible and the gate
-   has no timing noise — it pins the sequential fast path's
-   allocation-free property against silent erosion.
+   `--alloc BASELINE FRESH` gates allocation: both files are documents
+   written by `experiments --alloc-json` at the same budget (BASELINE is
+   the committed bin/alloc_baseline.json), and any figure whose fresh
+   minor-heap words exceed the baseline's by more than 25% fails the
+   check. Simulation is deterministic, so the allocation counts are
+   reproducible and the gate has no timing noise — it pins the sequential
+   fast path's allocation-free property against silent erosion.
 
    `--optgap` mode validates an `experiments optgap --optgap-json`
    document: one row per workload under both geometries, every row's
    certified oracle bounds internally consistent.
 
-   Exits non-zero with a diagnostic on any failure — wired into
-   `dune runtest` as a smoke test of the observability path. *)
+   Exits 1 with a diagnostic on any failure, an unreadable input file
+   included — wired into `dune runtest` as a smoke test of the
+   observability path. *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("stats_check: " ^ s); exit 1) fmt
 
 let parse path =
-  let text = In_channel.with_open_text path In_channel.input_all in
+  let text =
+    try In_channel.with_open_text path In_channel.input_all
+    with Sys_error msg ->
+      (* an open error already names the file; a read error does not *)
+      if String.starts_with ~prefix:(path ^ ": ") msg then
+        fail "cannot read %s" msg
+      else fail "cannot read %s: %s" path msg
+  in
   try Dts_obs.Json.of_string text
   with Dts_obs.Json.Parse_error msg -> fail "%s does not parse: %s" path msg
 
@@ -47,11 +45,6 @@ let int_of ~path obj key =
   match Dts_obs.Json.to_int (get ~path obj key) with
   | Some n -> n
   | None -> fail "%s: key %S is not an integer" path key
-
-let float_of ~path obj key =
-  match Dts_obs.Json.to_float (get ~path obj key) with
-  | Some f -> f
-  | None -> fail "%s: key %S is not a number" path key
 
 let str_of ~path obj key =
   match Dts_obs.Json.to_str (get ~path obj key) with
@@ -88,42 +81,49 @@ let check_stats path =
       vliw_cycles;
   Printf.printf "stats_check: %s ok (%d cycles fully attributed)\n" path cycles
 
-let bench_schema_version = 5
 let alloc_slack = 1.25
 
-(* Gate a fresh `experiments --alloc-json` document against the committed
-   bench baseline: same budget required (allocation does not scale
-   linearly with budget — fixed per-run costs dominate small budgets), and
-   each fresh figure's minor words must stay within [alloc_slack] of the
-   baseline's. Figures the baseline records with zero allocation (table
-   lookups that simulate nothing) are exempt. *)
-let check_alloc ~base_path ~base_budget ~base_minor fresh_path =
-  let doc = parse fresh_path in
-  let path = fresh_path in
+(* An `experiments --alloc-json` document: its budget and each figure's
+   minor-heap words. *)
+let read_alloc path =
+  let doc = parse path in
   let get = get ~path and int_of = int_of ~path and str_of = str_of ~path in
   if int_of doc "alloc_schema_version" <> 1 then
     fail "%s: unsupported alloc_schema_version" path;
-  let budget = int_of doc "budget" in
-  if budget <> base_budget then
-    fail
-      "%s: budget %d but baseline %s was recorded at %d — allocation counts \
-       are only comparable at the same budget"
-      path budget base_path base_budget;
   let figures =
     match get doc "figures" with
     | Dts_obs.Json.List l -> l
     | _ -> fail "%s: \"figures\" is not an array" path
   in
   if figures = [] then fail "%s: no figures to gate" path;
+  let minor fig =
+    let name = str_of fig "name" in
+    let minor = int_of fig "minor_words" in
+    if int_of fig "major_words" < 0 || minor < 0 then
+      fail "%s: figure %s: negative allocation count" path name;
+    (name, minor)
+  in
+  (int_of doc "budget", List.map minor figures)
+
+(* Gate FRESH against BASELINE: same budget required (allocation does not
+   scale linearly with budget — fixed per-run costs dominate small
+   budgets), and each fresh figure's minor words must stay within
+   [alloc_slack] of the baseline's. Figures the baseline records with zero
+   allocation (table lookups that simulate nothing) are exempt. *)
+let check_alloc base_path fresh_path =
+  let base_budget, base_minor = read_alloc base_path in
+  let budget, fresh = read_alloc fresh_path in
+  if budget <> base_budget then
+    fail
+      "%s: budget %d but baseline %s was recorded at %d — allocation counts \
+       are only comparable at the same budget"
+      fresh_path budget base_path base_budget;
   List.iter
-    (fun fig ->
-      let name = str_of fig "name" in
-      let minor = int_of fig "minor_words" in
-      if int_of fig "major_words" < 0 || minor < 0 then
-        fail "%s: figure %s: negative allocation count" path name;
+    (fun (name, minor) ->
       match List.assoc_opt name base_minor with
       | None ->
-        fail "%s: figure %s not present in baseline %s" path name base_path
+        fail "%s: figure %s not present in baseline %s" fresh_path name
+          base_path
       | Some base when base > 0 ->
         let limit = int_of_float (alloc_slack *. float_of_int base) in
         if minor > limit then
@@ -138,81 +138,7 @@ let check_alloc ~base_path ~base_budget ~base_minor fresh_path =
           "stats_check: figure %s minor words %d within %d baseline limit\n"
           name minor limit
       | Some _ -> ())
-    figures
-
-let check_bench ?alloc path =
-  let doc = parse path in
-  let get = get ~path
-  and int_of = int_of ~path
-  and float_of = float_of ~path
-  and str_of = str_of ~path in
-  let schema = int_of doc "schema_version" in
-  if schema <> bench_schema_version then
-    fail
-      "%s: bench schema_version %d, expected %d — baselines are not \
-       comparable across schemas; regenerate the baseline with the current \
-       `bench` binary rather than editing the version field"
-      path schema bench_schema_version;
-  ignore (str_of doc "generated_at");
-  ignore (str_of doc "git_rev");
-  if int_of doc "budget" <= 0 then fail "budget must be positive";
-  let jobs = int_of doc "jobs" in
-  if jobs < 1 then fail "jobs must be >= 1 (got %d)" jobs;
-  if int_of doc "host_cores" < 1 then fail "host_cores must be >= 1";
-  let figures =
-    match get doc "figures" with
-    | Dts_obs.Json.List l -> l
-    | _ -> fail "%s: \"figures\" is not an array" path
-  in
-  if figures = [] then fail "no figures recorded";
-  let check_figure fig =
-    let name = str_of fig "name" in
-    let wall = float_of fig "wall_s" in
-    let seq_wall = float_of fig "seq_wall_s" in
-    if wall < 0. || seq_wall < 0. then
-      fail "figure %s: negative wall clock" name;
-    ignore (float_of fig "instr_per_sec");
-    ignore (float_of fig "mean_ipc");
-    let runs = int_of fig "runs" in
-    let instructions = int_of fig "instructions" in
-    if runs > 0 && instructions <= 0 then
-      fail "figure %s: %d runs but %d instructions" name runs instructions;
-    let cycles = int_of fig "cycles" in
-    let attributed = int_of fig "attributed_cycles" in
-    if attributed <> cycles then
-      fail "figure %s: attributed %d but cycles %d" name attributed cycles;
-    let minor_words = int_of fig "minor_words" in
-    let major_words = int_of fig "major_words" in
-    if minor_words < 0 || major_words < 0 then
-      fail "figure %s: negative allocation count" name;
-    if runs > 0 && minor_words = 0 then
-      fail "figure %s: %d runs but zero minor-heap allocation" name runs;
-    name
-  in
-  let names = List.map check_figure figures in
-  (* schema v5: the standalone-engine throughput row is mandatory — a
-     baseline without it cannot gate interpreter regressions *)
-  if not (List.mem "primary_only" names) then
-    fail "%s: schema v%d requires a \"primary_only\" figure row" path
-      bench_schema_version;
-  let total = get doc "total" in
-  ignore (float_of total "wall_s");
-  ignore (float_of total "seq_wall_s");
-  ignore (int_of total "instructions");
-  ignore (float_of total "instr_per_sec");
-  Printf.printf "stats_check: %s ok (bench schema v%d, %d figures: %s)\n" path
-    bench_schema_version (List.length names)
-    (String.concat " " names);
-  match alloc with
-  | None -> ()
-  | Some fresh ->
-    let base_minor =
-      List.map
-        (fun fig -> (str_of fig "name", int_of fig "minor_words"))
-        figures
-    in
-    check_alloc ~base_path:path ~base_budget:(int_of doc "budget") ~base_minor
-      fresh
+    fresh
 
 (* --optgap: validate an `experiments optgap --optgap-json` document — one
    row per workload under each of the two geometries, each row's oracle
@@ -276,87 +202,12 @@ let check_optgap path =
     "stats_check: %s ok (optgap: %d rows, %d fully certified)\n" path
     (List.length rows) !certified_rows
 
-(* --serve: validate a dtsvliw_serve results JSONL stream (the output of
-   `dtsvliw_serve results --id N`, possibly several streams concatenated).
-   Checks per line: parseable JSON with the documented event shape; per
-   job id: shard_done events stay within a consistent shard count with no
-   duplicates, and exactly one terminal event (done/failed/canceled)
-   arrives last. *)
-let check_serve path =
-  let text = In_channel.with_open_text path In_channel.input_all in
-  let jobs = Hashtbl.create 8 in
-  (* id -> (shards seen done, declared shard count, terminal seen) *)
-  let events = ref 0 in
-  let lines = String.split_on_char '\n' text in
-  List.iteri
-    (fun lineno line ->
-      if String.trim line <> "" then begin
-        let where = Printf.sprintf "%s:%d" path (lineno + 1) in
-        let j =
-          try Dts_obs.Json.of_string line
-          with Dts_obs.Json.Parse_error msg ->
-            fail "%s does not parse: %s" where msg
-        in
-        let int_of = int_of ~path:where and str_of = str_of ~path:where in
-        let id = int_of j "id" in
-        let ev = str_of j "ev" in
-        incr events;
-        let done_shards, shard_count, terminal =
-          match Hashtbl.find_opt jobs id with
-          | Some s -> s
-          | None ->
-            let s = (Hashtbl.create 8, ref (-1), ref false) in
-            Hashtbl.add jobs id s;
-            s
-        in
-        if !terminal then
-          fail "%s: job %d: event %S after its terminal event" where id ev;
-        match ev with
-        | "shard_done" ->
-          let shard = int_of j "shard" in
-          let shards = int_of j "shards" in
-          if shards <= 0 then fail "%s: job %d: shards %d" where id shards;
-          if !shard_count = -1 then shard_count := shards
-          else if !shard_count <> shards then
-            fail "%s: job %d: shard count changed %d -> %d" where id
-              !shard_count shards;
-          if shard < 0 || shard >= shards then
-            fail "%s: job %d: shard %d out of range [0,%d)" where id shard
-              shards;
-          if Hashtbl.mem done_shards shard then
-            fail "%s: job %d: duplicate shard_done %d" where id shard;
-          Hashtbl.add done_shards shard ()
-        | "retry" ->
-          ignore (int_of j "shard");
-          ignore (int_of j "attempt")
-        | "done" ->
-          ignore (int_of j "exit_code");
-          ignore (str_of j "text");
-          terminal := true
-        | "failed" ->
-          ignore (str_of j "error");
-          terminal := true
-        | "canceled" -> terminal := true
-        | _ -> fail "%s: job %d: unknown event %S" where id ev
-      end)
-    lines;
-  let ids = Hashtbl.fold (fun id _ acc -> id :: acc) jobs [] in
-  List.iter
-    (fun id ->
-      let _, _, terminal = Hashtbl.find jobs id in
-      if not !terminal then fail "%s: job %d: no terminal event" path id)
-    ids;
-  Printf.printf "stats_check: %s ok (serve stream: %d jobs, %d events)\n" path
-    (Hashtbl.length jobs) !events
-
 let () =
   match Sys.argv with
   | [| _; path |] -> check_stats path
-  | [| _; "--bench"; path |] -> check_bench path
-  | [| _; "--bench"; path; "--alloc"; fresh |] -> check_bench ~alloc:fresh path
-  | [| _; "--serve"; path |] -> check_serve path
+  | [| _; "--alloc"; base; fresh |] -> check_alloc base fresh
   | [| _; "--optgap"; path |] -> check_optgap path
   | _ ->
     fail
-      "usage: stats_check FILE.json | --bench FILE.json [--alloc FRESH.json] \
-       | --serve STREAM.jsonl | --optgap FILE.json"
+      "usage: stats_check FILE.json | --alloc BASELINE.json FRESH.json | \
+       --optgap FILE.json"

@@ -154,8 +154,8 @@ let run_jobs ?pool ?scale ?budget jobs =
    [runner]; the public per-figure entry points close the runner over
    [?pool]/[?scale]/[?budget], while {!plan} and {!assemble} substitute
    recording and replaying runners to split descriptor evaluation from
-   figure assembly (the campaign server farms the former out to worker
-   processes and reassembles the latter bit-identically). *)
+   figure assembly (the benchmark times each descriptor on its own and
+   reassembles the figure bit-identically). *)
 type runner = job list -> run list
 
 (* Split into consecutive [n]-sized chunks — the inverse of the flattening

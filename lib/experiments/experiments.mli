@@ -150,16 +150,14 @@ val by_name :
   list
 (** Name → generator registry used by [bin/experiments] and the bench. *)
 
-(** {2 Distributed evaluation}
+(** {2 Split evaluation}
 
     A figure is a pure function of its {!run} records, and those records
     are produced from a flat, deterministic list of per-simulation
-    descriptors (the PR 3 run-descriptor refactor). The three functions
-    below split the two phases so independent processes can evaluate
-    disjoint slices of a figure's plan and a coordinator can reassemble
-    the figure — bit-identical to a local run — from the runs in plan
-    order. [Dts_job.Run] and the [dtsvliw_serve] campaign daemon are the
-    consumers. *)
+    descriptors. The three functions below split the two phases, so each
+    simulation of a figure's plan can be evaluated (and timed) on its own
+    and the figure rebuilt — bit-identical to a local run — from the runs
+    in plan order. The benchmark in [perfbench/] is the consumer. *)
 
 type descriptor
 (** One simulation of a figure's plan: a machine configuration plus a

@@ -1,13 +1,14 @@
-(** Shared CLI plumbing for the four binaries ([dtsvliw_sim],
-    [experiments], [dtsfuzz], [dtsvliw_serve]): the common flags spelled
-    once, the common validation, and the common exit-code contract.
+(** Shared CLI plumbing for the three binaries ([dtsvliw_sim],
+    [experiments], [dtsfuzz]): the common flags spelled once, the common
+    validation, and the common exit-code contract.
 
     Exit codes (documented in the README):
     - [0] — success;
     - [1] — the task itself failed (a fuzz divergence, a failed replay, a
-      job the server reports as failed);
+      malformed program file);
     - [2] — junk flag {e values} (non-positive budget/count, unknown
-      config name, ...) rejected by {!check} before any work starts;
+      config name, an output file that cannot be opened, ...) rejected
+      before any work starts;
     - [124] — cmdliner's own exit for malformed command lines. *)
 
 open Cmdliner
@@ -36,6 +37,11 @@ let check_positive ~what n =
 
 let check_non_negative ~what n =
   if n < 0 then die "%s must be >= 0 (got %d)" what n
+
+(** Open an output file named by a flag, or exit {!usage_error}. Called
+    before any work starts, so an unwritable path never costs a run. *)
+let open_out_or_die path =
+  try open_out path with Sys_error msg -> die "cannot write output file %s" msg
 
 (** Parse a [--config] geometry name or exit {!usage_error}. *)
 let geoms_of_config config =

@@ -1,17 +1,10 @@
 (** The unified job descriptor: everything the repository can run —
     a paper figure, a fuzz batch, a single-workload simulation — as one
-    typed, validated, JSON-serialisable value.
+    typed, validated value.
 
     [dtsvliw_sim], [experiments] and [dtsfuzz] are thin flag→[Job.t]
-    adapters over this module, and the [dtsvliw_serve] campaign daemon
-    ships the same values to worker processes over its wire protocol, so
-    one job means exactly one behaviour everywhere it runs.
-
-    The JSON codec is total and strict: every field is always emitted,
-    every field is required on decode (no silent defaulting), and unknown
-    kinds or fields are rejected with a message naming the offender.
-    [of_json] additionally validates, so a decoded job is always
-    runnable. *)
+    adapters over this module, and {!Run.run} evaluates the result, so one
+    job means exactly one behaviour whichever CLI builds it. *)
 
 (** Program source of a {!Workload} job. *)
 type source =
@@ -67,23 +60,8 @@ val workload :
   source ->
   t
 
-val kind_name : t -> string
-(** ["figure"], ["fuzz_batch"] or ["workload"] — the wire kind tag. *)
-
-val equal : t -> t -> bool
-
 val validate : t -> (unit, string) result
 (** Every reason a job cannot run, checked up front: non-positive budget/
     scale/count/max_insns/machine dimensions, negative [dump_blocks],
     unknown figure, config or builtin workload name, empty file path.
     (File {e existence} is a run-time property and is not checked here.) *)
-
-val to_json : t -> Dts_obs.Json.t
-val of_json : Dts_obs.Json.t -> (t, string) result
-(** Strict decode followed by {!validate}. *)
-
-val to_string : t -> string
-(** Compact single-line JSON — the wire form. *)
-
-val of_string : string -> (t, string) result
-(** {!of_json} of a parsed string; parse errors become [Error]. *)

@@ -1,11 +1,7 @@
-(** Serialisable machine options for a single-workload run: exactly the
-    knobs [dtsvliw_sim] exposes as flags, as one plain record with a total
-    JSON codec. {!to_config} reproduces the CLI's flag→{!Dts_core.Config.t}
-    mapping (it moved here from [bin/dtsvliw_sim.ml]), so a [Job.t] carries
-    everything needed to rebuild the exact machine in another process. *)
-
-open Dts_obs
-open Codec
+(** Machine options for a single-workload run: exactly the knobs
+    [dtsvliw_sim] exposes as flags, as one plain record. {!to_config}
+    reproduces the CLI's flag→{!Dts_core.Config.t} mapping, so a [Job.t]
+    carries everything needed to rebuild the exact machine. *)
 
 type t = {
   feasible : bool;  (** start from the §4.4 feasible machine *)
@@ -37,8 +33,6 @@ let default =
     predict_next = false;
     multicycle = false;
   }
-
-let equal (a : t) (b : t) = a = b
 
 let validate t =
   let positive what = function
@@ -95,50 +89,3 @@ let to_config t =
         };
     }
   else base
-
-let to_json t =
-  Json.Obj
-    [
-      ("feasible", Json.Bool t.feasible);
-      ("dif", Json.Bool t.dif);
-      ("compile", Json.Bool t.compile);
-      ("fastpath", Json.Bool t.fastpath);
-      ("width", int_opt_json t.width);
-      ("height", int_opt_json t.height);
-      ("vcache_kb", int_opt_json t.vcache_kb);
-      ("vcache_assoc", int_opt_json t.vcache_assoc);
-      ("renaming", Json.Bool t.renaming);
-      ("store_list", Json.Bool t.store_list);
-      ("predict_next", Json.Bool t.predict_next);
-      ("multicycle", Json.Bool t.multicycle);
-    ]
-
-let of_json j =
-  let* f = start ~ctx:"machine options" j in
-  let* feasible = bool_field f "feasible" in
-  let* dif = bool_field f "dif" in
-  let* compile = bool_field f "compile" in
-  let* fastpath = bool_field f "fastpath" in
-  let* width = int_opt_field f "width" in
-  let* height = int_opt_field f "height" in
-  let* vcache_kb = int_opt_field f "vcache_kb" in
-  let* vcache_assoc = int_opt_field f "vcache_assoc" in
-  let* renaming = bool_field f "renaming" in
-  let* store_list = bool_field f "store_list" in
-  let* predict_next = bool_field f "predict_next" in
-  let* multicycle = bool_field f "multicycle" in
-  finish f
-    {
-      feasible;
-      dif;
-      compile;
-      fastpath;
-      width;
-      height;
-      vcache_kb;
-      vcache_assoc;
-      renaming;
-      store_list;
-      predict_next;
-      multicycle;
-    }

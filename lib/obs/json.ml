@@ -276,9 +276,4 @@ let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 
 let to_int = function Int i -> Some i | _ -> None
 
-let to_float = function
-  | Float f -> Some f
-  | Int i -> Some (float_of_int i)
-  | _ -> None
-
 let to_str = function String s -> Some s | _ -> None

@@ -1,6 +1,6 @@
 (** Minimal JSON values: enough to emit and validate the simulator's
-    machine-readable surfaces ([--stats-json], the JSONL trace, the bench
-    baseline) without an external dependency. *)
+    machine-readable surfaces ([--stats-json], the JSONL trace, the
+    allocation baseline) without an external dependency. *)
 
 type t =
   | Null
@@ -17,9 +17,6 @@ val to_string : t -> string
 val to_string_pretty : t -> string
 (** Two-space-indented rendering; arrays of scalars stay on one line. *)
 
-val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes). *)
-
 exception Parse_error of string
 
 val of_string : string -> t
@@ -29,7 +26,5 @@ val member : string -> t -> t option
 (** [member k (Obj ...)] looks up key [k]; [None] on non-objects too. *)
 
 val to_int : t -> int option
-val to_float : t -> float option
-(** [Int] values widen to float. *)
 
 val to_str : t -> string option

@@ -85,6 +85,22 @@ let test_bad_args_rejected () =
         (Dts_dif.Dif.fig9_machine_cfg ())
         "compress")
 
+(* Split evaluation: each descriptor of a figure's plan evaluated on its
+   own, then the figure rebuilt from the runs, renders exactly what the
+   generator does. The benchmark times figures this way. *)
+let test_plan_assemble () =
+  let module E = Dts_experiments.Experiments in
+  List.iter
+    (fun name ->
+      let direct = (List.assoc name E.by_name) ~scale:1 ~budget:400 () in
+      let runs =
+        List.map (E.eval_descriptor ~scale:1 ~budget:400) (E.plan name)
+      in
+      Alcotest.(check string)
+        (name ^ " reassembles exactly")
+        (direct.E.render ()) ((E.assemble name runs).E.render ()))
+    [ "table2"; "fig6"; "fig9" ]
+
 let suite =
   List.map
     (fun name -> Alcotest.test_case ("renders: " ^ name) `Quick (fun () -> renders name))
@@ -94,4 +110,6 @@ let suite =
       Alcotest.test_case "dif run record" `Quick test_dif_run_record;
       Alcotest.test_case "fig8 renders" `Quick test_fig8_components_nonnegative_sum;
       Alcotest.test_case "bad args rejected" `Quick test_bad_args_rejected;
+      Alcotest.test_case "plan and assemble reproduce the figure" `Quick
+        test_plan_assemble;
     ]

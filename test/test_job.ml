@@ -1,151 +1,9 @@
-(* The unified Job API (lib/job) and the dtsvliw_serve wire protocol
-   (lib/serve/protocol).
-
-   The load-bearing properties: the JSON codecs are total and strict —
-   every randomly generated valid job round-trips exactly through its wire
-   form, and decoding rejects (rather than silently defaults) unknown
-   kinds, unknown fields, missing fields and duplicate keys. The same
-   strictness holds for the server's request/response/event grammar. And
-   the sharding identity the campaign daemon's determinism rests on:
-   [Run.assemble job (map (Run.eval_shard job) (Run.shards job))] is
-   byte-identical to the one-shot [Run.run job], for figure and fuzz
-   jobs alike. *)
+(* The unified Job API (lib/job): [Job.validate] rejects every job that
+   cannot run, before any work starts. *)
 
 open Dts_job
 
 let check_bool = Alcotest.(check bool)
-let check_string = Alcotest.(check string)
-
-(* -------- generators -------- *)
-
-let figure_names = List.map fst Dts_experiments.Experiments.by_name
-
-let workload_names =
-  List.map
-    (fun (w : Dts_workloads.Workloads.t) -> w.name)
-    Dts_workloads.Workloads.all
-
-let gen_machine =
-  let open QCheck.Gen in
-  let dim = opt (int_range 1 32) in
-  let* feasible = bool and* dif = bool in
-  let* compile = bool and* fastpath = bool in
-  let* width = dim and* height = dim in
-  let* vcache_kb = dim and* vcache_assoc = dim in
-  let* renaming = bool and* store_list = bool in
-  let* predict_next = bool and* multicycle = bool in
-  return
-    {
-      Machine_opts.feasible;
-      dif;
-      compile;
-      fastpath;
-      width;
-      height;
-      vcache_kb;
-      vcache_assoc;
-      renaming;
-      store_list;
-      predict_next;
-      multicycle;
-    }
-
-let gen_kind =
-  let open QCheck.Gen in
-  oneof
-    [
-      (let* figure = oneofl figure_names in
-       return (Job.Figure { figure }));
-      (let* seed = int_range 0 1_000_000 and* count = int_range 1 500 in
-       let* max_insns = int_range 1 200 in
-       let* config = oneofl [ "all"; "ideal"; "feasible" ] in
-       let* shrink = bool in
-       let* out_dir = opt (oneofl [ "out"; "_build/fuzz-failures" ]) in
-       return (Job.Fuzz_batch { seed; count; max_insns; config; shrink; out_dir }));
-      (let* source =
-         oneof
-           [
-             (let* name = oneofl workload_names in
-              return (Job.Builtin name));
-             (let* path = oneofl [ "prog.s"; "prog.c"; "dir/x.s" ] in
-              return (Job.File path));
-           ]
-       and* machine = gen_machine
-       and* dump_blocks = int_range 0 8 in
-       return (Job.Workload { source; machine; dump_blocks }))
-    ]
-
-let gen_job =
-  let open QCheck.Gen in
-  let* kind = gen_kind in
-  let* budget = int_range 1 1_000_000 and* scale = int_range 1 8 in
-  return { Job.kind; budget; scale }
-
-let arb_job = QCheck.make ~print:Job.to_string gen_job
-
-(* -------- Job.t codec -------- *)
-
-let test_job_roundtrip =
-  QCheck.Test.make ~count:500 ~name:"job json round-trip" arb_job (fun job ->
-      match Job.validate job with
-      | Error _ -> QCheck.assume_fail () (* generator emits valid jobs only *)
-      | Ok () -> (
-        match Job.of_string (Job.to_string job) with
-        | Ok job' -> Job.equal job job'
-        | Error msg -> QCheck.Test.fail_reportf "decode failed: %s" msg))
-
-let expect_error what = function
-  | Error _ -> ()
-  | Ok _ -> Alcotest.failf "%s: decode succeeded, expected rejection" what
-
-let reencode fields =
-  (* a valid figure job with [fields] applied: replace existing keys,
-     append unknown ones, drop keys mapped to None *)
-  match Job.to_json (Job.figure "fig6") with
-  | Dts_obs.Json.Obj kvs ->
-    let kvs =
-      List.filter_map
-        (fun (k, v) ->
-          match List.assoc_opt k fields with
-          | Some None -> None
-          | Some (Some v') -> Some (k, v')
-          | None -> Some (k, v))
-        kvs
-    in
-    let extra =
-      List.filter_map
-        (fun (k, v) ->
-          match (List.mem_assoc k kvs, v) with
-          | false, Some v -> Some (k, v)
-          | _ -> None)
-        fields
-    in
-    Dts_obs.Json.Obj (kvs @ extra)
-  | _ -> assert false
-
-let test_job_rejects () =
-  let open Dts_obs.Json in
-  expect_error "unknown kind"
-    (Job.of_json (reencode [ ("kind", Some (String "trace")) ]));
-  expect_error "unknown field"
-    (Job.of_json (reencode [ ("shiny", Some (Bool true)) ]));
-  expect_error "missing budget (no silent defaulting)"
-    (Job.of_json (reencode [ ("budget", None) ]));
-  expect_error "missing kind" (Job.of_json (reencode [ ("kind", None) ]));
-  expect_error "duplicate key"
-    (Job.of_json
-       (match reencode [] with
-       | Obj kvs -> Obj (kvs @ [ ("budget", Int 7) ])
-       | j -> j));
-  expect_error "non-object" (Job.of_json (Int 3));
-  expect_error "wrong field type"
-    (Job.of_json (reencode [ ("budget", Some (String "lots")) ]));
-  (* of_json validates: well-formed JSON for an unrunnable job is rejected *)
-  expect_error "unknown figure name"
-    (Job.of_string (Job.to_string (Job.figure "fig99")));
-  expect_error "non-positive budget"
-    (Job.of_string (Job.to_string (Job.figure ~budget:0 "fig6")));
-  expect_error "garbage" (Job.of_string "not json at all")
 
 let test_job_validate () =
   let ok job = check_bool "valid" true (Job.validate job = Ok ()) in
@@ -166,199 +24,4 @@ let test_job_validate () =
        ~machine:{ Machine_opts.default with width = Some 0 }
        (Job.Builtin "compress"))
 
-(* -------- wire protocol codecs -------- *)
-
-let roundtrip_request r =
-  let open Dts_serve.Protocol in
-  match request_of_json (request_to_json r) with
-  | Ok r' -> check_bool "request round-trip" true (r = r')
-  | Error msg -> Alcotest.failf "request decode failed: %s" msg
-
-let test_protocol_requests () =
-  let open Dts_serve.Protocol in
-  let job = Job.fuzz_batch ~seed:3 ~count:7 () in
-  List.iter roundtrip_request
-    [
-      Submit { job; priority = 2; fault_kills = 1 };
-      Status { id = None };
-      Status { id = Some 4 };
-      Cancel { id = 9 };
-      Results { id = 1 };
-      Shutdown { drain = true };
-      Shutdown { drain = false };
-    ];
-  let open Dts_obs.Json in
-  expect_error "unknown op"
-    (request_of_json (Obj [ ("op", String "reboot") ]));
-  expect_error "submit without job"
-    (request_of_json
-       (Obj
-          [ ("op", String "submit"); ("priority", Int 0); ("fault_kills", Int 0) ]));
-  expect_error "negative fault_kills"
-    (request_of_json
-       (Obj
-          [
-            ("op", String "submit");
-            ("job", Job.to_json job);
-            ("priority", Int 0);
-            ("fault_kills", Int (-1));
-          ]));
-  expect_error "unknown request field"
-    (request_of_json (Obj [ ("op", String "cancel"); ("id", Int 1); ("x", Null) ]))
-
-let roundtrip_response r =
-  let open Dts_serve.Protocol in
-  match response_of_json (response_to_json r) with
-  | Ok r' -> check_bool "response round-trip" true (r = r')
-  | Error msg -> Alcotest.failf "response decode failed: %s" msg
-
-let test_protocol_responses () =
-  let open Dts_serve.Protocol in
-  List.iter roundtrip_response
-    [
-      Ok_id 12;
-      Ok_unit;
-      Err "no such job";
-      Ok_status [];
-      Ok_status
-        [
-          {
-            id = 1;
-            kind = "figure";
-            state = Running;
-            priority = 0;
-            shards_done = 3;
-            shards = 16;
-            retries = 1;
-            exit_code = None;
-          };
-          {
-            id = 2;
-            kind = "fuzz_batch";
-            state = Done;
-            priority = 5;
-            shards_done = 16;
-            shards = 16;
-            retries = 0;
-            exit_code = Some 0;
-          };
-        ];
-    ];
-  let open Dts_obs.Json in
-  expect_error "unknown response field"
-    (response_of_json (Obj [ ("ok", Bool true); ("surprise", Int 1) ]));
-  expect_error "unknown state"
-    (response_of_json
-       (Obj
-          [
-            ("ok", Bool true);
-            ( "jobs",
-              List
-                [
-                  Obj
-                    [
-                      ("id", Int 1);
-                      ("kind", String "figure");
-                      ("state", String "paused");
-                      ("priority", Int 0);
-                      ("shards_done", Int 0);
-                      ("shards", Int 1);
-                      ("retries", Int 0);
-                      ("exit_code", Null);
-                    ];
-                ] );
-          ]))
-
-let roundtrip_event (id, ev) =
-  let open Dts_serve.Protocol in
-  match event_of_json (event_to_json ~id ev) with
-  | Ok (id', ev') ->
-    check_bool "event round-trip" true (id = id' && ev = ev')
-  | Error msg -> Alcotest.failf "event decode failed: %s" msg
-
-let test_protocol_events () =
-  let open Dts_serve.Protocol in
-  List.iter roundtrip_event
-    [
-      (1, Shard_done { shard = 3; shards = 16 });
-      (1, Retry { shard = 3; attempt = 2 });
-      ( 2,
-        Done { Run.text = "table\n"; stats_json = Some "{}"; exit_code = 0 } );
-      (2, Done { Run.text = ""; stats_json = None; exit_code = 1 });
-      (3, Failed { error = "worker exploded" });
-      (4, Canceled);
-    ];
-  check_bool "terminal classification" true
-    (terminal Canceled
-    && terminal (Failed { error = "x" })
-    && (not (terminal (Retry { shard = 0; attempt = 1 })))
-    && not (terminal (Shard_done { shard = 0; shards = 1 })));
-  let open Dts_obs.Json in
-  expect_error "unknown event"
-    (event_of_json (Obj [ ("id", Int 1); ("ev", String "progress") ]));
-  expect_error "event unknown field"
-    (event_of_json (Obj [ ("id", Int 1); ("ev", String "canceled"); ("x", Null) ]))
-
-let test_worker_input () =
-  let open Dts_serve.Protocol in
-  let rt w =
-    match worker_input_of_json (worker_input_to_json w) with
-    | Ok w' -> check_bool "worker input round-trip" true (w = w')
-    | Error msg -> Alcotest.failf "worker input decode failed: %s" msg
-  in
-  let job = Job.figure ~budget:400 "fig6" in
-  rt { job; shard = Run.Whole; fault_kill = false };
-  rt { job; shard = Run.Slice { lo = 2; hi = 5 }; fault_kill = true };
-  expect_error "bad shard"
-    (worker_input_of_json
-       (Dts_obs.Json.Obj
-          [
-            ("job", Job.to_json job);
-            ("shard", Dts_obs.Json.String "half");
-            ("fault_kill", Dts_obs.Json.Bool false);
-          ]))
-
-(* -------- sharding identity -------- *)
-
-(* The determinism guarantee the campaign daemon advertises: evaluating a
-   job shard-by-shard and reassembling gives the byte-identical outcome of
-   the one-shot run, whatever the shard count. *)
-let shards_assemble_identical job =
-  let one_shot = Run.run job in
-  List.iter
-    (fun max_shards ->
-      let shards = Run.shards ~max_shards job in
-      let results = List.map (Run.eval_shard job) shards in
-      let assembled = Run.assemble job results in
-      check_string
-        (Printf.sprintf "%s text, %d shards" (Job.kind_name job)
-           (List.length shards))
-        one_shot.Run.text assembled.Run.text;
-      check_bool "exit code" true
-        (one_shot.Run.exit_code = assembled.Run.exit_code))
-    [ 1; 3; 16 ]
-
-let test_shards_figure () =
-  shards_assemble_identical (Job.figure ~budget:400 "fig6")
-
-let test_shards_fuzz () =
-  shards_assemble_identical (Job.fuzz_batch ~seed:1 ~count:16 ())
-
-let test_shards_workload () =
-  shards_assemble_identical (Job.workload ~budget:2000 (Job.Builtin "compress"))
-
-let suite =
-  [
-    QCheck_alcotest.to_alcotest test_job_roundtrip;
-    Alcotest.test_case "job decode rejects junk" `Quick test_job_rejects;
-    Alcotest.test_case "job validation" `Quick test_job_validate;
-    Alcotest.test_case "protocol requests" `Quick test_protocol_requests;
-    Alcotest.test_case "protocol responses" `Quick test_protocol_responses;
-    Alcotest.test_case "protocol events" `Quick test_protocol_events;
-    Alcotest.test_case "worker input" `Quick test_worker_input;
-    Alcotest.test_case "figure shards reassemble exactly" `Quick
-      test_shards_figure;
-    Alcotest.test_case "fuzz shards reassemble exactly" `Quick test_shards_fuzz;
-    Alcotest.test_case "workload shards reassemble exactly" `Quick
-      test_shards_workload;
-  ]
+let suite = [ Alcotest.test_case "job validation" `Quick test_job_validate ]
