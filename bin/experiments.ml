@@ -7,8 +7,8 @@
 
    --jobs fans each figure's simulations out over that many workers; the
    rendered output is bit-identical to a sequential run. Each named
-   experiment becomes a Dts_job.Job figure descriptor evaluated through
-   Dts_job.Run.
+   experiment is looked up in Dts_experiments.Experiments.by_name, run,
+   and its render printed.
 
    --alloc-json FILE additionally records, per experiment, the number of
    instructions simulated and the minor/major heap words allocated while
@@ -26,10 +26,11 @@
    experiment is `optgap`; the printed text is unchanged.
 
    Both JSON files are opened before any simulation, so an unwritable path
-   exits 2 at once. *)
+   exits 2 at once; so do unknown experiment names and flag combinations
+   that cannot run together. *)
 
 open Cmdliner
-open Dts_job
+module Experiments = Dts_experiments.Experiments
 
 type alloc_row = {
   a_name : string;
@@ -57,11 +58,11 @@ let write_alloc_json oc ~budget rows =
     (String.concat ",\n" (List.map row rows));
   close_out oc
 
-let write_optgap_json oc ~budget (fig : Dts_experiments.Experiments.figure) =
-  let nw = List.length Dts_experiments.Experiments.workload_names in
-  let row i (r : Dts_experiments.Experiments.run) =
+let write_optgap_json oc ~budget (fig : Experiments.figure) =
+  let nw = List.length Experiments.workload_names in
+  let row i (r : Experiments.run) =
     let gs =
-      match r.Dts_experiments.Experiments.optgap with
+      match r.Experiments.optgap with
       | Some gs -> gs
       | None ->
         prerr_endline "experiments: optgap row without an oracle summary";
@@ -72,7 +73,7 @@ let write_optgap_json oc ~budget (fig : Dts_experiments.Experiments.figure) =
        %d, \"opt_lower\": %d, \"opt_upper\": %d, \"certified\": %d, \
        \"search_nodes\": %d}"
       (if i < nw then "ideal" else "feasible")
-      r.Dts_experiments.Experiments.workload gs.Dts_opt.Opt.gs_blocks
+      r.Experiments.workload gs.Dts_opt.Opt.gs_blocks
       gs.Dts_opt.Opt.gs_fcfs_lis gs.Dts_opt.Opt.gs_opt_lower
       gs.Dts_opt.Opt.gs_opt_upper gs.Dts_opt.Opt.gs_certified
       gs.Dts_opt.Opt.gs_search_nodes
@@ -88,60 +89,31 @@ let write_optgap_json oc ~budget (fig : Dts_experiments.Experiments.figure) =
      }\n"
     budget Dts_opt.Opt.default_node_budget
     (String.concat ",\n"
-       (List.mapi row fig.Dts_experiments.Experiments.rows));
+       (List.mapi row fig.Experiments.rows));
   close_out oc
 
-let run_experiments names scale budget jobs backend alloc_json optgap_json =
+let run_experiments names scale budget jobs alloc_json optgap_json =
   Cli.check_positive ~what:"--budget" budget;
   Cli.check_positive ~what:"--scale" scale;
   Cli.check_non_negative ~what:"--jobs" jobs;
-  let backend = Cli.backend_of_flag backend in
   let names = if names = [] then [ "all" ] else names in
-  let jobs_of name =
-    let job = Job.figure ~budget ~scale name in
-    match Job.validate job with
-    | Ok () -> job
-    | Error _ ->
-      Printf.eprintf "unknown experiment %s; available: %s\n" name
-        (String.concat ", "
-           (List.map fst Dts_experiments.Experiments.by_name));
-      exit Cli.usage_error
-  in
-  let job_list = List.map jobs_of names in
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name Experiments.by_name) then
+        Cli.die "unknown experiment %s; available: %s" name
+          (String.concat ", " (List.map fst Experiments.by_name)))
+    names;
   let jobs = Dts_parallel.Pool.resolve_jobs jobs in
-  if alloc_json <> None && jobs > 1 then begin
-    prerr_endline
+  if alloc_json <> None && jobs > 1 then
+    Cli.die
       "experiments: --alloc-json requires sequential execution (drop --jobs)";
-    exit 1
-  end;
-  if optgap_json <> None && alloc_json <> None then begin
-    prerr_endline "experiments: --optgap-json is incompatible with --alloc-json";
-    exit 1
-  end;
-  if optgap_json <> None && names <> [ "optgap" ] then begin
-    prerr_endline
+  if optgap_json <> None && alloc_json <> None then
+    Cli.die "experiments: --optgap-json is incompatible with --alloc-json";
+  if optgap_json <> None && names <> [ "optgap" ] then
+    Cli.die
       "experiments: --optgap-json applies to exactly one experiment: optgap";
-    exit 1
-  end;
   let alloc_json = Option.map Cli.open_out_or_die alloc_json in
   let optgap_json = Option.map Cli.open_out_or_die optgap_json in
-  (match optgap_json with
-  | None -> ()
-  | Some oc ->
-    (* the figure generator directly rather than Run.run — identical
-       rendered text, plus access to the per-row oracle summaries the
-       JSON document records *)
-    let gen ?pool () =
-      Dts_experiments.Experiments.optgap ?pool ~scale ~budget ()
-    in
-    let fig =
-      if jobs > 1 then
-        Dts_parallel.Pool.with_pool ~backend ~jobs (fun pool -> gen ~pool ())
-      else gen ()
-    in
-    print_string (fig.Dts_experiments.Experiments.render () ^ "\n");
-    write_optgap_json oc ~budget fig;
-    exit 0);
   (* the alloc gate measures per-instruction simulation allocation, so the
      one-time tinyc compilations must not land inside the counted window:
      warm the workload memo first (a later figure in a bench run gets it
@@ -150,35 +122,31 @@ let run_experiments names scale budget jobs backend alloc_json optgap_json =
     List.iter
       (fun w -> ignore (Dts_workloads.Workloads.program ~scale w))
       Dts_workloads.Workloads.all;
-  let alloc_rows = ref [] in
-  let render pool =
-    List.iter2
-      (fun name job ->
-        let instr0 = Dts_experiments.Experiments.simulated_instructions () in
-        let gc0 = Gc.quick_stat () in
-        let outcome = Run.run ?pool job in
-        let gc1 = Gc.quick_stat () in
-        print_string outcome.Run.text;
-        if alloc_json <> None then
-          alloc_rows :=
+  let alloc_rows =
+    Dts_parallel.Pool.with_pool ~jobs (fun pool ->
+        List.map
+          (fun name ->
+            let instr0 = Experiments.simulated_instructions () in
+            let gc0 = Gc.quick_stat () in
+            let gen = List.assoc name Experiments.by_name in
+            let fig = gen ~pool ~scale ~budget () in
+            let text = fig.Experiments.render () in
+            let gc1 = Gc.quick_stat () in
+            print_string (text ^ "\n");
+            Option.iter
+              (fun oc -> write_optgap_json oc ~budget fig)
+              optgap_json;
             {
               a_name = name;
-              a_instructions =
-                Dts_experiments.Experiments.simulated_instructions () - instr0;
+              a_instructions = Experiments.simulated_instructions () - instr0;
               a_minor_words =
                 int_of_float (gc1.Gc.minor_words -. gc0.Gc.minor_words);
               a_major_words =
                 int_of_float (gc1.Gc.major_words -. gc0.Gc.major_words);
-            }
-            :: !alloc_rows)
-      names job_list
+            })
+          names)
   in
-  if jobs > 1 then
-    Dts_parallel.Pool.with_pool ~backend ~jobs (fun pool -> render (Some pool))
-  else render None;
-  match alloc_json with
-  | Some oc -> write_alloc_json oc ~budget (List.rev !alloc_rows)
-  | None -> ()
+  Option.iter (fun oc -> write_alloc_json oc ~budget alloc_rows) alloc_json
 
 let names_arg =
   let doc =
@@ -220,6 +188,6 @@ let cmd =
       const run_experiments $ names_arg $ Cli.scale_arg
       $ Cli.budget_arg ~default:150_000 ()
       $ Cli.jobs_arg ~doc:jobs_doc ()
-      $ Cli.backend_arg $ alloc_json_arg $ optgap_json_arg)
+      $ alloc_json_arg $ optgap_json_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -75,9 +75,8 @@ let process_failure ~geoms ~fuel ~shrink ~out_dir ~index ~seed program divs =
   }
 
 (** Evaluate campaign item [i]: generate program [derive seed i] and run
-    it on every engine. Returns [(i, per-program seed, verdict)] — plain
-    data, so a pool's worker processes can evaluate items and the results
-    be reassembled by index. *)
+    it on every engine. Returns [(i, per-program seed, verdict)], so the
+    pool's results can be folded by index. *)
 let item ~geoms ~max_insns ~seed i =
   let fuel = Gen.dynamic_bound ~max_insns in
   let pseed = Sprng.derive seed i in

@@ -18,11 +18,8 @@ type runner = unit -> bool
 (** Claim and execute one work item of the current batch; [false] when the
     batch is exhausted. *)
 
-type backend = Domains | Processes
-
 type t = {
   jobs : int;  (** total workers, caller included *)
-  backend : backend;
   mutex : Mutex.t;
   work_ready : Condition.t;  (** a new batch was published (or shutdown) *)
   work_done : Condition.t;  (** the current batch completed *)
@@ -38,15 +35,7 @@ let recommended () = Domain.recommended_domain_count ()
     to at least one. *)
 let resolve_jobs n = if n = 0 then recommended () else max 1 n
 
-let backend_of_string = function
-  | "domains" -> Some Domains
-  | "processes" -> Some Processes
-  | _ -> None
-
-let backend_to_string = function Domains -> "domains" | Processes -> "processes"
-
 let jobs t = t.jobs
-let backend t = t.backend
 
 (* Workers sleep between batches and drain whichever batch closure is
    current when they wake. [seen] is the generation the worker has already
@@ -68,12 +57,11 @@ let rec worker_loop t ~seen =
     worker_loop t ~seen:gen
   end
 
-let create ?(backend = Domains) ~jobs () =
+let create ~jobs () =
   let jobs = resolve_jobs jobs in
   let t =
     {
       jobs;
-      backend;
       mutex = Mutex.create ();
       work_ready = Condition.create ();
       work_done = Condition.create ();
@@ -83,12 +71,9 @@ let create ?(backend = Domains) ~jobs () =
       domains = [];
     }
   in
-  (match backend with
-  | Domains ->
-    t.domains <-
-      List.init (jobs - 1) (fun _ ->
-          Domain.spawn (fun () -> worker_loop t ~seen:0))
-  | Processes -> ());
+  t.domains <-
+    List.init (jobs - 1) (fun _ ->
+        Domain.spawn (fun () -> worker_loop t ~seen:0));
   t
 
 let shutdown t =
@@ -99,87 +84,11 @@ let shutdown t =
   List.iter Domain.join t.domains;
   t.domains <- []
 
-(** Deterministic ordered map over forked child processes. Indices are
-    dealt round-robin — worker [w] of [k] owns every index [i] with
-    [i mod k = w] — and worker 0 is the caller itself, so [~jobs:1] forks
-    nothing. Each child evaluates its share, marshals the
-    [(index, result)] pairs back over a pipe and [Unix._exit]s (never
-    running the parent's [at_exit] handlers or flushing its duplicated
-    stdio buffers). The parent reassembles by index, so scheduling can
-    never leak into the result, exactly as with the domain backend. *)
-let process_map t f xs =
-  let items = Array.of_list xs in
-  let n = Array.length items in
-  let k = min t.jobs n in
-  let eval i =
-    try Ok (f items.(i)) with e -> Error (i, Printexc.to_string e)
-  in
-  let share w =
-    let rec go i acc = if i >= n then List.rev acc else go (i + k) ((i, eval i) :: acc) in
-    go w []
-  in
-  let children =
-    List.init (k - 1) (fun j ->
-        let w = j + 1 in
-        let rfd, wfd = Unix.pipe ~cloexec:false () in
-        match Unix.fork () with
-        | 0 ->
-          (* child: evaluate this worker's share, ship it, vanish *)
-          Unix.close rfd;
-          let oc = Unix.out_channel_of_descr wfd in
-          (try
-             Marshal.to_channel oc (share w) [];
-             flush oc
-           with _ -> ());
-          Unix._exit 0
-        | pid ->
-          Unix.close wfd;
-          (pid, rfd))
-  in
-  let results = Array.make n None in
-  let record (i, r) = results.(i) <- Some r in
-  List.iter record (share 0);
-  List.iter
-    (fun (pid, rfd) ->
-      let ic = Unix.in_channel_of_descr rfd in
-      let received =
-        try Some (Marshal.from_channel ic : (int * ('b, int * string) result) list)
-        with _ -> None
-      in
-      let _, status = Unix.waitpid [] pid in
-      close_in ic;
-      match (received, status) with
-      | Some pairs, Unix.WEXITED 0 -> List.iter record pairs
-      | _ ->
-        failwith
-          "Dts_parallel.Pool: a process worker died before delivering its \
-           results")
-    children;
-  (* Reassemble in submission order; the lowest-index failure wins, as
-     with the domain backend — but across a process boundary only the
-     rendered exception survives, so it is re-raised as [Failure]. *)
-  for i = 0 to n - 1 do
-    match results.(i) with
-    | None -> assert false
-    | Some (Error (_, msg)) ->
-      failwith (Printf.sprintf "Dts_parallel.Pool process worker: %s" msg)
-    | Some (Ok _) -> ()
-  done;
-  List.init n (fun i ->
-      match results.(i) with Some (Ok v) -> v | _ -> assert false)
-
 (** Deterministic ordered map. The caller participates as a worker, so a
     pool created with [~jobs:1] (no spawned domains) degrades to a plain
     sequential [List.map]. Not reentrant: a single batch runs at a time,
     and [f] must not call [map] on the same pool. *)
 let map t f xs =
-  match t.backend with
-  | Processes ->
-    (match xs with
-    | [] -> []
-    | [ x ] -> [ f x ]
-    | _ -> if t.jobs <= 1 then List.map f xs else process_map t f xs)
-  | Domains ->
   match xs with
   | [] -> []
   | [ x ] -> [ f x ]
@@ -238,6 +147,6 @@ let map t f xs =
 (** [with_pool ~jobs f] runs [f] over a fresh pool and always shuts it
     down, including on exceptions. [~jobs] below 2 yields a pool with no
     spawned domains (pure sequential maps). *)
-let with_pool ?backend ~jobs f =
-  let t = create ?backend ~jobs () in
+let with_pool ~jobs f =
+  let t = create ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

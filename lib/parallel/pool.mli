@@ -11,20 +11,6 @@
 
 type t
 
-type backend =
-  | Domains  (** in-process [Domain.t] workers (the historical backend) *)
-  | Processes
-      (** forked child processes, one per worker and batch; results travel
-          back over pipes via [Marshal], so [f]'s results must be plain
-          data (no closures, no custom blocks). Side effects performed by
-          [f] — counters, caches — stay in the child and are lost. When an
-          application of [f] raises, the child transports
-          [Printexc.to_string] of the exception and the caller re-raises
-          it as [Failure] (the original exception identity cannot cross
-          the process boundary); as with [Domains], the lowest-indexed
-          failure wins. A worker that dies without delivering its results
-          raises [Failure] in the caller. *)
-
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()] — one worker per available core. *)
 
@@ -32,23 +18,13 @@ val resolve_jobs : int -> int
 (** Map a user-facing [--jobs] value to a worker count: [0] means
     {!recommended}; anything else is clamped to at least [1]. *)
 
-val backend_of_string : string -> backend option
-(** ["domains"] / ["processes"] — the shared [--pool-backend] spelling. *)
-
-val backend_to_string : backend -> string
-
-val create : ?backend:backend -> jobs:int -> unit -> t
-(** Spawn a pool of [resolve_jobs jobs] workers total (default backend
-    {!Domains}). With [Domains], [jobs - 1] domains are spawned eagerly
-    and reused across {!map} batches; the caller is the remaining worker.
-    With [Processes], nothing is spawned here — each {!map} batch forks
-    [jobs - 1] children and reaps them before returning. [~jobs:1] makes
-    {!map} purely sequential under either backend. *)
+val create : jobs:int -> unit -> t
+(** Spawn a pool of [resolve_jobs jobs] workers total: [jobs - 1] domains
+    are spawned eagerly and reused across {!map} batches; the caller is the
+    remaining worker. [~jobs:1] makes {!map} purely sequential. *)
 
 val jobs : t -> int
 (** Total worker count, caller included. *)
-
-val backend : t -> backend
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Deterministic ordered map (see the module description). Not reentrant:
@@ -59,6 +35,6 @@ val shutdown : t -> unit
 (** Stop and join the spawned domains. Idempotent; the pool must not be
     used afterwards. *)
 
-val with_pool : ?backend:backend -> jobs:int -> (t -> 'a) -> 'a
+val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] over a fresh pool and shuts it down when
     [f] returns or raises. *)

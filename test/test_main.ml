@@ -22,6 +22,5 @@ let () =
       ("predecode", Test_predecode.suite);
       ("fastpath", Test_fastpath.suite);
       ("fuzz", Test_fuzz.suite);
-      ("job", Test_job.suite);
       ("opt", Test_opt.suite);
     ]

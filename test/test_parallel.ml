@@ -1,16 +1,15 @@
 (* Unit tests for the worker pool: ordering, empty input, exception
-   propagation and the jobs = 1 sequential fallback, each over both
-   backends — in-process domains and forked worker processes. *)
+   propagation and the jobs = 1 sequential fallback. *)
 
 open Dts_parallel
 
 let check_int = Alcotest.(check int)
 let check_ints = Alcotest.(check (list int))
 
-let with_pool4 ?backend f = Pool.with_pool ?backend ~jobs:4 f
+let with_pool4 f = Pool.with_pool ~jobs:4 f
 
-let test_ordering backend () =
-  with_pool4 ~backend (fun pool ->
+let test_ordering () =
+  with_pool4 (fun pool ->
       (* items of very uneven cost: results must still come back in
          submission order *)
       let xs = List.init 200 (fun i -> i) in
@@ -33,46 +32,37 @@ let test_order_repeatable () =
       let b = Pool.map pool (fun i -> 3 * i) xs in
       check_ints "two batches agree" a b)
 
-let test_empty backend () =
-  with_pool4 ~backend (fun pool ->
+let test_empty () =
+  with_pool4 (fun pool ->
       check_ints "empty" [] (Pool.map pool (fun i -> i) []);
       check_ints "singleton" [ 9 ] (Pool.map pool (fun i -> i * i) [ 3 ]))
 
 exception Boom of int
 
-(* [f ()] must fail with [Boom i]. A batch that fans out over worker
-   processes reports it as [Failure] carrying the printed exception: only
-   that survives the process boundary. *)
-let expect_boom ?(forked = false) what i f =
+(* [f ()] must fail with [Boom i]. *)
+let expect_boom what i f =
   match f () with
   | _ -> Alcotest.fail "expected Boom"
-  | exception Boom j when not forked -> check_int what i j
-  | exception Failure msg when forked ->
-    Alcotest.(check string)
-      what
-      ("Dts_parallel.Pool process worker: " ^ Printexc.to_string (Boom i))
-      msg
+  | exception Boom j -> check_int what i j
 
-let test_exception backend () =
-  let forked = backend = Pool.Processes in
-  with_pool4 ~backend (fun pool ->
+let test_exception () =
+  with_pool4 (fun pool ->
       (* several items fail; the lowest-indexed failure must win *)
-      expect_boom ~forked "lowest failing index" 2 (fun () ->
+      expect_boom "lowest failing index" 2 (fun () ->
           Pool.map pool
             (fun i -> if i mod 5 = 2 then raise (Boom i) else i)
             (List.init 40 (fun i -> i))));
   (* the pool stays usable after a failed batch *)
-  with_pool4 ~backend (fun pool ->
-      expect_boom ~forked "first item" 7 (fun () ->
+  with_pool4 (fun pool ->
+      expect_boom "first item" 7 (fun () ->
           Pool.map pool (fun i -> raise (Boom i)) [ 7; 8 ]);
       check_ints "pool survives" [ 2; 4 ] (Pool.map pool (fun i -> 2 * i) [ 1; 2 ]))
 
-let test_sequential_fallback backend () =
-  Pool.with_pool ~backend ~jobs:1 (fun pool ->
+let test_sequential_fallback () =
+  Pool.with_pool ~jobs:1 (fun pool ->
       check_int "jobs clamps to 1" 1 (Pool.jobs pool);
       check_ints "sequential map" [ 1; 4; 9 ]
         (Pool.map pool (fun i -> i * i) [ 1; 2; 3 ]);
-      (* nothing forks at jobs = 1: the exception itself arrives *)
       expect_boom "sequential raise" 5 (fun () ->
           Pool.map pool (fun i -> raise (Boom i)) [ 5 ]))
 
@@ -95,29 +85,15 @@ let test_resolve_jobs () =
   check_int "identity" 6 (Pool.resolve_jobs 6);
   check_int "zero means recommended" (Pool.recommended ()) (Pool.resolve_jobs 0)
 
-(* The backend-generic cases: named plainly for the domain backend and
-   suffixed for the process backend. OCaml refuses to fork once a domain
-   has been spawned, so the process-backend cases run in their own
-   executable (test_fork.ml). *)
-let per_backend backend suffix =
-  List.map
-    (fun (name, test) ->
-      Alcotest.test_case (name ^ suffix) `Quick (test backend))
-    [
-      ("ordering under uneven load", test_ordering);
-      ("empty and singleton", test_empty);
-      ("exception propagation", test_exception);
-      ("jobs=1 sequential fallback", test_sequential_fallback);
-    ]
-
 let suite =
-  per_backend Pool.Domains ""
-  @ [
-      Alcotest.test_case "repeatable across batches" `Quick
-        test_order_repeatable;
-      Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
-      Alcotest.test_case "experiments render deterministically" `Quick
-        test_experiments_deterministic;
-    ]
-
-let processes_suite = per_backend Pool.Processes " (processes)"
+  [
+    Alcotest.test_case "ordering under uneven load" `Quick test_ordering;
+    Alcotest.test_case "empty and singleton" `Quick test_empty;
+    Alcotest.test_case "exception propagation" `Quick test_exception;
+    Alcotest.test_case "jobs=1 sequential fallback" `Quick
+      test_sequential_fallback;
+    Alcotest.test_case "repeatable across batches" `Quick test_order_repeatable;
+    Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
+    Alcotest.test_case "experiments render deterministically" `Quick
+      test_experiments_deterministic;
+  ]
