@@ -7,8 +7,8 @@
 
    --jobs fans each figure's simulations out over that many workers; the
    rendered output is bit-identical to a sequential run. Each named
-   experiment is looked up in Dts_experiments.Experiments.by_name, run,
-   and its render printed.
+   experiment is produced by Dts_experiments.Experiments.run and its
+   render printed.
 
    --alloc-json FILE additionally records, per experiment, the number of
    instructions simulated and the minor/major heap words allocated while
@@ -27,7 +27,8 @@
 
    Both JSON files are opened before any simulation, so an unwritable path
    exits 2 at once; so do unknown experiment names and flag combinations
-   that cannot run together. *)
+   that cannot run together. A write that fails later (a full disk) exits
+   1 with one line. *)
 
 open Cmdliner
 module Experiments = Dts_experiments.Experiments
@@ -39,7 +40,7 @@ type alloc_row = {
   a_major_words : int;
 }
 
-let write_alloc_json oc ~budget rows =
+let write_alloc_json ~budget rows oc =
   let row r =
     Printf.sprintf
       "    {\"name\": %S, \"instructions\": %d, \"minor_words\": %d, \
@@ -55,10 +56,9 @@ let write_alloc_json oc ~budget rows =
     \  ]\n\
      }\n"
     budget
-    (String.concat ",\n" (List.map row rows));
-  close_out oc
+    (String.concat ",\n" (List.map row rows))
 
-let write_optgap_json oc ~budget (fig : Experiments.figure) =
+let write_optgap_json ~budget (fig : Experiments.figure) oc =
   let nw = List.length Experiments.workload_names in
   let row i (r : Experiments.run) =
     let gs =
@@ -88,9 +88,7 @@ let write_optgap_json oc ~budget (fig : Experiments.figure) =
     \  ]\n\
      }\n"
     budget Dts_opt.Opt.default_node_budget
-    (String.concat ",\n"
-       (List.mapi row fig.Experiments.rows));
-  close_out oc
+    (String.concat ",\n" (List.mapi row fig.Experiments.rows))
 
 let run_experiments names scale budget jobs alloc_json optgap_json =
   Cli.check_positive ~what:"--budget" budget;
@@ -99,9 +97,9 @@ let run_experiments names scale budget jobs alloc_json optgap_json =
   let names = if names = [] then [ "all" ] else names in
   List.iter
     (fun name ->
-      if not (List.mem_assoc name Experiments.by_name) then
+      if not (List.mem name Experiments.names) then
         Cli.die "unknown experiment %s; available: %s" name
-          (String.concat ", " (List.map fst Experiments.by_name)))
+          (String.concat ", " Experiments.names))
     names;
   let jobs = Dts_parallel.Pool.resolve_jobs jobs in
   if alloc_json <> None && jobs > 1 then
@@ -112,8 +110,13 @@ let run_experiments names scale budget jobs alloc_json optgap_json =
   if optgap_json <> None && names <> [ "optgap" ] then
     Cli.die
       "experiments: --optgap-json applies to exactly one experiment: optgap";
-  let alloc_json = Option.map Cli.open_out_or_die alloc_json in
-  let optgap_json = Option.map Cli.open_out_or_die optgap_json in
+  let open_json = Option.map (fun path -> (path, Cli.open_out_or_die path)) in
+  let alloc_json = open_json alloc_json and optgap_json = open_json optgap_json in
+  let write_json (path, oc) f =
+    Cli.writing path oc (fun () ->
+        f oc;
+        close_out oc)
+  in
   (* the alloc gate measures per-instruction simulation allocation, so the
      one-time tinyc compilations must not land inside the counted window:
      warm the workload memo first (a later figure in a bench run gets it
@@ -126,19 +129,20 @@ let run_experiments names scale budget jobs alloc_json optgap_json =
     Dts_parallel.Pool.with_pool ~jobs (fun pool ->
         List.map
           (fun name ->
-            let instr0 = Experiments.simulated_instructions () in
             let gc0 = Gc.quick_stat () in
-            let gen = List.assoc name Experiments.by_name in
-            let fig = gen ~pool ~scale ~budget () in
+            let fig = Experiments.run ~pool ~scale ~budget name in
             let text = fig.Experiments.render () in
             let gc1 = Gc.quick_stat () in
-            print_string (text ^ "\n");
+            Cli.print (text ^ "\n");
             Option.iter
-              (fun oc -> write_optgap_json oc ~budget fig)
+              (fun out -> write_json out (write_optgap_json ~budget fig))
               optgap_json;
             {
               a_name = name;
-              a_instructions = Experiments.simulated_instructions () - instr0;
+              a_instructions =
+                List.fold_left
+                  (fun n (r : Experiments.run) -> n + r.instructions)
+                  0 fig.rows;
               a_minor_words =
                 int_of_float (gc1.Gc.minor_words -. gc0.Gc.minor_words);
               a_major_words =
@@ -146,7 +150,9 @@ let run_experiments names scale budget jobs alloc_json optgap_json =
             })
           names)
   in
-  Option.iter (fun oc -> write_alloc_json oc ~budget alloc_rows) alloc_json
+  Option.iter
+    (fun out -> write_json out (write_alloc_json ~budget alloc_rows))
+    alloc_json
 
 let names_arg =
   let doc =

@@ -41,17 +41,7 @@ type figure = {
 
 let budget_default = 150_000
 
-(* Cumulative sequential instructions simulated by every run this process
-   performed — the denominator data for the bench harness's simulated
-   instructions/sec. Monotone; callers read deltas around a figure. Atomic
-   because runs may retire on pool worker domains; addition commutes, so
-   the delta observed after a figure completes is independent of the
-   execution order of its runs. *)
-let sim_ctr = Atomic.make 0
-let simulated_instructions () = Atomic.get sim_ctr
-
 let collect (m : Dts_core.Machine.t) workload instructions =
-  ignore (Atomic.fetch_and_add sim_ctr instructions);
   let s = Dts_core.Machine.stats m in
   {
     workload;
@@ -132,30 +122,26 @@ let avg xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 (* ------------------------------------------------------------------ *)
 
 (* Every figure flattens the simulations it needs into a list of these
-   descriptors and evaluates them through [run_jobs]; with a pool the runs
-   fan out over its domains. Results come back in submission order either
-   way, so a figure's rendering is bit-identical with and without a pool. *)
+   descriptors; {!run} evaluates them, fanned out over a pool's domains
+   when given one. Results come back in submission order either way, so a
+   figure's rendering is bit-identical with and without a pool. *)
 type job =
   | J_dtsvliw of Dts_core.Config.t * string
   | J_dif of Dts_core.Config.t * string
   | J_optgap of Dts_core.Config.t * string
 
-let run_job ?scale ?budget = function
+type descriptor = job
+
+let eval_descriptor ?scale ?budget = function
   | J_dtsvliw (cfg, name) -> run_dtsvliw ?scale ?budget cfg name
   | J_dif (cfg, name) -> fst (run_dif ?scale ?budget cfg name)
   | J_optgap (cfg, name) -> run_optgap ?scale ?budget cfg name
 
-let run_jobs ?pool ?scale ?budget jobs =
-  match pool with
-  | None -> List.map (run_job ?scale ?budget) jobs
-  | Some p -> Dts_parallel.Pool.map p (run_job ?scale ?budget) jobs
-
 (* A figure core asks for its simulations through exactly one call to a
-   [runner]; the public per-figure entry points close the runner over
-   [?pool]/[?scale]/[?budget], while {!plan} and {!assemble} substitute
-   recording and replaying runners to split descriptor evaluation from
-   figure assembly (the benchmark times each descriptor on its own and
-   reassembles the figure bit-identically). *)
+   [runner]: {!plan} passes a recording runner and {!assemble} a replaying
+   one, which splits descriptor evaluation from figure assembly (the
+   benchmark times each descriptor on its own and reassembles the figure
+   bit-identically). *)
 type runner = job list -> run list
 
 (* Split into consecutive [n]-sized chunks — the inverse of the flattening
@@ -265,25 +251,21 @@ let geometry_sweep ~name ~title ~geometries ~(runner : runner) () =
     ~runs:(List.concat_map snd per_geometry)
     lines
 
-let fig5a_core ~runner () =
+let fig5a ~runner () =
   geometry_sweep ~name:"fig5a"
     ~title:
       "Figure 5a: IPC for very wide blocks (instructions/li x li/block); \
        perfect caches, 3072KB VLIW$"
     ~geometries:fig5a_geometries ~runner ()
 
-let fig5a ?pool ?scale ?budget () =
-  fig5a_core ~runner:(run_jobs ?pool ?scale ?budget) ()
 
-let fig5_core ~runner () =
+let fig5 ~runner () =
   geometry_sweep ~name:"fig5"
     ~title:
       "Figure 5b: IPC vs block geometry (instructions/li x li/block); \
        perfect caches, 3072KB VLIW$, no next-li penalty"
     ~geometries:fig5_geometries ~runner ()
 
-let fig5 ?pool ?scale ?budget () =
-  fig5_core ~runner:(run_jobs ?pool ?scale ?budget) ()
 
 (* ------------------------------------------------------------------ *)
 (* Shared shape: one series per configuration over all workloads        *)
@@ -322,7 +304,7 @@ let config_sweep ~name ~title ~(runner : runner) labelled_cfgs =
 
 let fig6_sizes_kb = [ 48; 96; 192; 384; 768; 1536; 3072 ]
 
-let fig6_core ~runner () =
+let fig6 ~runner () =
   config_sweep ~name:"fig6"
     ~title:"Figure 6: IPC vs VLIW Cache size (8x8 blocks, 4-way)" ~runner
     (List.map
@@ -331,14 +313,12 @@ let fig6_core ~runner () =
            { (Dts_core.Config.ideal ()) with vliw_cache = { kb; assoc = 4 } } ))
        fig6_sizes_kb)
 
-let fig6 ?pool ?scale ?budget () =
-  fig6_core ~runner:(run_jobs ?pool ?scale ?budget) ()
 
 (* ------------------------------------------------------------------ *)
 (* Figure 7: VLIW Cache associativity (96KB and 384KB, 8x8)             *)
 (* ------------------------------------------------------------------ *)
 
-let fig7_core ~runner () =
+let fig7 ~runner () =
   config_sweep ~name:"fig7"
     ~title:"Figure 7: IPC vs VLIW Cache associativity (8x8 blocks)" ~runner
     (List.concat_map
@@ -350,8 +330,6 @@ let fig7_core ~runner () =
            [ 1; 2; 4; 8 ])
        [ 96; 384 ])
 
-let fig7 ?pool ?scale ?budget () =
-  fig7_core ~runner:(run_jobs ?pool ?scale ?budget) ()
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8: feasible machine cost breakdown (differential ablation)    *)
@@ -386,7 +364,7 @@ let fig8_chain () =
     ("feasible (+next-li)", feasible);
   ]
 
-let fig8_core ~(runner : runner) () =
+let fig8 ~(runner : runner) () =
   let chain = fig8_chain () in
   let jobs =
     List.concat_map
@@ -427,14 +405,12 @@ let fig8_core ~(runner : runner) () =
     ~runs:(List.concat_map snd per_wl)
     rows
 
-let fig8 ?pool ?scale ?budget () =
-  fig8_core ~runner:(run_jobs ?pool ?scale ?budget) ()
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: performance and resources of the feasible machine           *)
 (* ------------------------------------------------------------------ *)
 
-let table3_core ~(runner : runner) () =
+let table3 ~(runner : runner) () =
   let feasible = Dts_core.Config.feasible () in
   let runs =
     runner (List.map (fun name -> J_dtsvliw (feasible, name)) workload_names)
@@ -472,8 +448,6 @@ let table3_core ~(runner : runner) () =
     ~title:"Table 3: performance and resource consumption of the feasible machine"
     ~headers ~runs rows
 
-let table3 ?pool ?scale ?budget () =
-  table3_core ~runner:(run_jobs ?pool ?scale ?budget) ()
 
 (* ------------------------------------------------------------------ *)
 (* Figure 9: DTSVLIW vs DIF                                             *)
@@ -489,7 +463,7 @@ let fig9_dtsvliw_cfg () =
   in
   { base with sched = { base.sched with slot_classes = Some classes } }
 
-let fig9_core ~(runner : runner) () =
+let fig9 ~(runner : runner) () =
   let dts_cfg = fig9_dtsvliw_cfg () in
   let dif_cfg = Dts_dif.Dif.fig9_machine_cfg () in
   let nw = List.length workload_names in
@@ -534,8 +508,6 @@ let fig9_core ~(runner : runner) () =
     ~runs:(dts_runs @ dif_runs @ [ resources_run ])
     rows
 
-let fig9 ?pool ?scale ?budget () =
-  fig9_core ~runner:(run_jobs ?pool ?scale ?budget) ()
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (beyond the paper; design choices called out in DESIGN.md) *)
@@ -554,14 +526,12 @@ let ablations =
       fun c -> { c with sched = { c.sched with strict_control_insert = true } } );
   ]
 
-let ablation_core ~runner () =
+let ablation ~runner () =
   let base = Dts_core.Config.ideal () in
   config_sweep ~name:"ablation"
     ~title:"Ablation: scheduler design choices (ideal 8x8 machine)" ~runner
     (List.map (fun (label, f) -> (label, f base)) ablations)
 
-let ablation ?pool ?scale ?budget () =
-  ablation_core ~runner:(run_jobs ?pool ?scale ?budget) ()
 
 (* ------------------------------------------------------------------ *)
 (* Extensions: the paper's §5 future work and §3.11 alternative, measured  *)
@@ -570,7 +540,7 @@ let ablation ?pool ?scale ?budget () =
 (** Next-long-instruction prediction (§5), the data-store-list exception
     scheme (§3.11's "has not been used" alternative), and multicycle
     functional units ([14]) — each against the feasible machine. *)
-let extensions_core ~runner () =
+let extensions ~runner () =
   let feasible = Dts_core.Config.feasible () in
   config_sweep ~name:"extensions"
     ~title:
@@ -595,8 +565,6 @@ let extensions_core ~runner () =
         } );
     ]
 
-let extensions ?pool ?scale ?budget () =
-  extensions_core ~runner:(run_jobs ?pool ?scale ?budget) ()
 
 (* ------------------------------------------------------------------ *)
 (* Optimality gap: greedy FCFS vs branch-and-bound optimal schedules    *)
@@ -614,7 +582,7 @@ let optgap_geometries () =
     oracle and the long-instruction counts are summed. [optimal (lower)]
     and [optimal (upper)] are certified bounds; when every block certifies
     ([certified] = [blocks]) they coincide and the gap is exact. *)
-let optgap_core ~(runner : runner) () =
+let optgap ~(runner : runner) () =
   let geoms = optgap_geometries () in
   let jobs =
     List.concat_map
@@ -665,8 +633,6 @@ let optgap_core ~(runner : runner) () =
     ~runs:(List.concat_map snd per_geom)
     rows
 
-let optgap ?pool ?scale ?budget () =
-  optgap_core ~runner:(run_jobs ?pool ?scale ?budget) ()
 
 (* ------------------------------------------------------------------ *)
 (* Cycle breakdown: the observability layer's own table                 *)
@@ -676,7 +642,7 @@ let optgap ?pool ?scale ?budget () =
     attributed to one category (see {!Dts_obs.Attribution}), per workload,
     as a fraction of total cycles. The [TOTAL] row is the invariant check:
     attributed cycles / machine cycles, always 100.0%. *)
-let breakdown_core ~(runner : runner) () =
+let breakdown ~(runner : runner) () =
   let feasible = Dts_core.Config.feasible () in
   let runs =
     runner (List.map (fun name -> J_dtsvliw (feasible, name)) workload_names)
@@ -712,37 +678,35 @@ let breakdown_core ~(runner : runner) () =
     ~headers:([ "category" ] @ workload_names @ [ "average" ])
     ~runs rows
 
-let breakdown ?pool ?scale ?budget () =
-  breakdown_core ~runner:(run_jobs ?pool ?scale ?budget) ()
 
 (* ------------------------------------------------------------------ *)
-(* Plan / evaluate / assemble: the distributed evaluation API           *)
+(* Plan, assemble and run: the one way to produce a figure             *)
 (* ------------------------------------------------------------------ *)
-
-type descriptor = job
 
 (* Figures whose cores simulate nothing ignore the runner entirely. *)
 let cores : (string * (runner:runner -> unit -> figure)) list =
   [
-    ("table1", fun ~runner () -> ignore runner; table1 ());
-    ("table2", fun ~runner () -> ignore runner; table2 ());
-    ("fig5a", fig5a_core);
-    ("fig5", fig5_core);
-    ("fig6", fig6_core);
-    ("fig7", fig7_core);
-    ("fig8", fig8_core);
-    ("table3", table3_core);
-    ("fig9", fig9_core);
-    ("ablation", ablation_core);
-    ("extensions", extensions_core);
-    ("breakdown", breakdown_core);
-    ("optgap", optgap_core);
+    ("table1", fun ~runner:_ () -> table1 ());
+    ("table2", fun ~runner:_ () -> table2 ());
+    ("fig5a", fig5a);
+    ("fig5", fig5);
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("table3", table3);
+    ("fig9", fig9);
+    ("ablation", ablation);
+    ("extensions", extensions);
+    ("breakdown", breakdown);
+    ("optgap", optgap);
   ]
 
-(* "all" concatenates these, in this order (see {!all_figures}). *)
+(* "all" concatenates these, in this order. *)
 let all_components =
   [ "table1"; "table2"; "fig5a"; "fig5"; "fig6"; "fig7"; "fig8"; "table3";
     "fig9"; "ablation"; "extensions" ]
+
+let names = List.map fst cores @ [ "all" ]
 
 let core_of name =
   match List.assoc_opt name cores with
@@ -750,14 +714,12 @@ let core_of name =
   | None ->
     invalid_arg
       (Printf.sprintf "Experiments: unknown figure %S (expected one of %s)"
-         name
-         (String.concat ", " (List.map fst cores @ [ "all" ])))
+         name (String.concat ", " names))
 
 exception Planned of job list
 
 (* A figure core calls its runner exactly once with the full flat
-   descriptor list (the PR 3 run-descriptor refactor), so a recording
-   runner observes the complete plan. *)
+   descriptor list, so a recording runner observes the complete plan. *)
 let rec plan name =
   if name = "all" then List.concat_map plan all_components
   else begin
@@ -766,8 +728,6 @@ let rec plan name =
     | _ -> [] (* the core never consulted the runner: nothing to simulate *)
     | exception Planned jobs -> jobs
   end
-
-let eval_descriptor ?scale ?budget d = run_job ?scale ?budget d
 
 let replay_runner ~name runs jobs =
   if List.length jobs <> List.length runs then
@@ -807,51 +767,9 @@ let rec assemble name runs =
   end
   else (core_of name) ~runner:(replay_runner ~name runs) ()
 
-(* ------------------------------------------------------------------ *)
-
-let all_figures ?pool ?scale ?budget () =
-  [
-    table1 ();
-    table2 ();
-    fig5a ?pool ?scale ?budget ();
-    fig5 ?pool ?scale ?budget ();
-    fig6 ?pool ?scale ?budget ();
-    fig7 ?pool ?scale ?budget ();
-    fig8 ?pool ?scale ?budget ();
-    table3 ?pool ?scale ?budget ();
-    fig9 ?pool ?scale ?budget ();
-    ablation ?pool ?scale ?budget ();
-    extensions ?pool ?scale ?budget ();
-  ]
-
-let all ?pool ?scale ?budget () =
-  let figs = all_figures ?pool ?scale ?budget () in
-  let rendered = List.map (fun f -> f.render ()) figs in
-  {
-    name = "all";
-    rows = List.concat_map (fun f -> f.rows) figs;
-    tables = List.concat_map (fun f -> f.tables) figs;
-    render = (fun () -> String.concat "\n" rendered);
-  }
-
-let by_name =
-  [
-    ( "table1",
-      fun ?pool ?scale ?budget () ->
-        ignore pool; ignore scale; ignore budget; table1 () );
-    ( "table2",
-      fun ?pool ?scale ?budget () ->
-        ignore pool; ignore scale; ignore budget; table2 () );
-    ("fig5a", fig5a);
-    ("fig5", fig5);
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("fig8", fig8);
-    ("table3", table3);
-    ("fig9", fig9);
-    ("ablation", ablation);
-    ("extensions", extensions);
-    ("breakdown", breakdown);
-    ("optgap", optgap);
-    ("all", all);
-  ]
+let run ?pool ?scale ?budget name =
+  let jobs = plan name in
+  assemble name
+    (match pool with
+    | None -> List.map (eval_descriptor ?scale ?budget) jobs
+    | Some p -> Dts_parallel.Pool.map p (eval_descriptor ?scale ?budget) jobs)

@@ -1,4 +1,4 @@
-(** The evaluation harness: one entry per table and figure of the paper's
+(** The evaluation harness: one figure per table and figure of the paper's
     §4, plus ablations and the measured extensions.
 
     Every run executes in test mode (golden co-simulation), so a reported
@@ -7,16 +7,16 @@
     metric: sequential instructions (test-machine count) over DTSVLIW
     cycles.
 
-    Entry points return a structured {!figure}: the raw {!run} records, the
-    table cells, and a [render] closure producing the exact ready-to-print
-    text (no re-simulation). Consumers read data instead of parsing
-    strings.
+    A figure is produced one way: {!run} evaluates the descriptors of the
+    figure's {!plan} and {!assemble}s the result. It returns a structured
+    {!figure}: the raw {!run} records, the table cells, and a [render]
+    closure producing the exact ready-to-print text (no re-simulation).
+    Consumers read data instead of parsing strings.
 
-    Every figure generator accepts [?pool]: a {!Dts_parallel.Pool.t} fans
-    the figure's independent simulations out over the pool's domains.
-    Results are reassembled in submission order, so the returned figure —
-    rows, tables and rendering — is bit-identical with and without a
-    pool. *)
+    Given [?pool], {!run} fans the figure's independent simulations out
+    over the pool's domains. Results are reassembled in plan order, so the
+    returned figure — rows, tables and rendering — is bit-identical with
+    and without a pool. *)
 
 (** Everything measured in one simulation run. *)
 type run = {
@@ -50,11 +50,6 @@ type figure = {
   render : unit -> string;
       (** the ready-to-print text output; pure (no re-simulation) *)
 }
-
-val simulated_instructions : unit -> int
-(** Cumulative sequential instructions simulated by every run performed in
-    this process (monotone counter). The bench harness reads deltas around
-    each figure to report simulated instructions/sec. *)
 
 val run_dtsvliw :
   ?scale:int ->
@@ -94,61 +89,33 @@ val fig9_dtsvliw_cfg : unit -> Dts_core.Config.t
 val table1 : unit -> figure
 val table2 : unit -> figure
 
-val fig5a :
-  ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure
+val names : string list
+(** Every figure name {!run}, {!plan} and {!assemble} accept, in the order
+    [experiments] lists them:
+    - ["table1"], ["table2"], ["fig5a"], ["fig5"], ["fig6"], ["fig7"],
+      ["fig8"], ["table3"], ["fig9"]: the paper's tables and figures;
+    - ["ablation"], ["extensions"]: scheduler design choices and the
+      measured extensions;
+    - ["breakdown"]: the feasible machine's cycle attribution, one row per
+      {!Dts_obs.Attribution.category} and one column per workload, cells as
+      percentages of total machine cycles; its TOTAL row is the sum of all
+      categories over machine cycles (the invariant: always 100.0%);
+    - ["optgap"]: the greedy FCFS scheduler's optimality gap, every
+      workload under the ideal and feasible geometries with each finished
+      block re-scheduled by the {!Dts_opt.Opt} branch-and-bound oracle;
+      rows carry summed long-instruction counts, certified lower/upper
+      optimal bounds and the gap percentage;
+    - ["all"], last: the paper's tables and figures plus ["ablation"] and
+      ["extensions"], concatenated; its [rows]/[tables] are the
+      concatenation of the components'. *)
 
-val fig5 :
-  ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure
-
-val fig6 :
-  ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure
-
-val fig7 :
-  ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure
-
-val fig8 :
-  ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure
-
-val table3 :
-  ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure
-
-val fig9 :
-  ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure
-
-val ablation :
-  ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure
-
-val extensions :
-  ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure
-
-val breakdown :
-  ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure
-(** Cycle-attribution breakdown of the feasible machine: one row per
-    {!Dts_obs.Attribution.category}, one column per workload, cells as
-    percentages of total machine cycles; the TOTAL row is the sum of all
-    categories over machine cycles (the invariant: always 100.0%). Not part
-    of {!all} (it is an observability artefact, not a paper figure). *)
-
-val optgap :
-  ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure
-(** Optimality gap of the greedy FCFS scheduler: every workload under the
-    ideal and feasible geometries, each finished block re-scheduled by the
-    {!Dts_opt.Opt} branch-and-bound oracle; rows carry summed
-    long-instruction counts, certified lower/upper optimal bounds, and the
-    gap percentage. Not part of {!all} (a reproduction-quality study, not a
-    paper figure). *)
-
-val all :
-  ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure
-(** Every paper table/figure plus ablations and extensions, concatenated;
-    [rows]/[tables] are the concatenation of the sub-figures'. Figures run
-    one after another; within each, the runs fan out over [?pool]. *)
-
-val by_name :
-  (string
-  * (?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> unit -> figure))
-  list
-(** Name → generator registry used by [bin/experiments] and the bench. *)
+val run :
+  ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> string -> figure
+(** [run name] is [assemble name] of the runs of [plan name], each
+    evaluated by {!eval_descriptor} — over [?pool] when given, as one flat
+    map for ["all"] too.
+    @raise Invalid_argument on an unknown name, or if [scale] or [budget]
+    is not positive. *)
 
 (** {2 Split evaluation}
 
@@ -156,13 +123,13 @@ val by_name :
     are produced from a flat, deterministic list of per-simulation
     descriptors. The three functions below split the two phases, so each
     simulation of a figure's plan can be evaluated (and timed) on its own
-    and the figure rebuilt — bit-identical to a local run — from the runs
-    in plan order. The benchmark in [perfbench/] is the consumer. *)
+    and the figure rebuilt — bit-identical to {!run} — from the runs in
+    plan order. {!run} and the benchmark in [perfbench/] are the
+    consumers. *)
 
 type descriptor
 (** One simulation of a figure's plan: a machine configuration plus a
-    workload name. Plain data (safe to evaluate in a forked worker and
-    marshal the resulting {!run} back). *)
+    workload name. Plain data. *)
 
 val plan : string -> descriptor list
 (** The complete, deterministic descriptor list of the named figure —
@@ -174,8 +141,7 @@ val eval_descriptor : ?scale:int -> ?budget:int -> descriptor -> run
 (** Evaluate one descriptor (same validation as {!run_dtsvliw}). *)
 
 val assemble : string -> run list -> figure
-(** Rebuild the named figure from runs listed in {!plan} order. For every
-    figure and any slicing of its plan,
-    [assemble name (List.map eval_descriptor (plan name))] equals the
-    direct generator call — enforced by test.
+(** Rebuild the named figure from runs listed in {!plan} order. The runs
+    may be evaluated in any order and on any worker: the figure depends
+    only on the list.
     @raise Invalid_argument on an unknown name or a run-count mismatch. *)

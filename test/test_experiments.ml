@@ -12,8 +12,7 @@ let contains hay needle =
 let budget = 4_000
 
 let renders name =
-  let f = List.assoc name Dts_experiments.Experiments.by_name in
-  let fig = f ~scale:1 ~budget () in
+  let fig = Dts_experiments.Experiments.run ~scale:1 ~budget name in
   let out = fig.Dts_experiments.Experiments.render () in
   check_bool (name ^ " non-empty") true (String.length out > 100);
   check_bool (name ^ " lists workloads") true
@@ -63,7 +62,7 @@ let test_dif_run_record () =
 let test_fig8_components_nonnegative_sum () =
   (* the stacked decomposition must add back up to the ideal IPC *)
   let out =
-    ((List.assoc "fig8" Dts_experiments.Experiments.by_name) ~scale:1 ~budget ())
+    (Dts_experiments.Experiments.run ~scale:1 ~budget "fig8")
       .Dts_experiments.Experiments.render ()
   in
   check_bool "has ILP column" true (contains out "ILP")
@@ -86,15 +85,16 @@ let test_bad_args_rejected () =
         "compress")
 
 (* Split evaluation: each descriptor of a figure's plan evaluated on its
-   own, then the figure rebuilt from the runs, renders exactly what the
-   generator does. The benchmark times figures this way. *)
+   own, last first, then the figure rebuilt from the runs, renders exactly
+   what [run] does. The benchmark times figures this way. *)
 let test_plan_assemble () =
   let module E = Dts_experiments.Experiments in
   List.iter
     (fun name ->
-      let direct = (List.assoc name E.by_name) ~scale:1 ~budget:400 () in
+      let direct = E.run ~scale:1 ~budget:400 name in
       let runs =
-        List.map (E.eval_descriptor ~scale:1 ~budget:400) (E.plan name)
+        List.rev_map (E.eval_descriptor ~scale:1 ~budget:400)
+          (List.rev (E.plan name))
       in
       Alcotest.(check string)
         (name ^ " reassembles exactly")

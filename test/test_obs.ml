@@ -185,7 +185,7 @@ let test_json_parser () =
   | _ -> Alcotest.fail "truncated input must not parse")
 
 let test_breakdown_figure () =
-  let fig = Dts_experiments.Experiments.breakdown ~budget () in
+  let fig = Dts_experiments.Experiments.run ~budget "breakdown" in
   let out = fig.Dts_experiments.Experiments.render () in
   (* the TOTAL row renders the invariant: always exactly 100.0% *)
   check_bool "has TOTAL row" true

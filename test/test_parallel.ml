@@ -70,12 +70,12 @@ let test_sequential_fallback () =
    over a pool changes nothing about what it renders. *)
 let test_experiments_deterministic () =
   let seq =
-    (Dts_experiments.Experiments.table3 ~budget:400 ())
+    (Dts_experiments.Experiments.run ~budget:400 "table3")
       .Dts_experiments.Experiments.render ()
   in
   with_pool4 (fun pool ->
       let par =
-        (Dts_experiments.Experiments.table3 ~pool ~budget:400 ())
+        (Dts_experiments.Experiments.run ~pool ~budget:400 "table3")
           .Dts_experiments.Experiments.render ()
       in
       Alcotest.(check string) "table3 renders identically on a pool" seq par)

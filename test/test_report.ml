@@ -67,7 +67,7 @@ let test_formatters () =
 let test_experiments_registry () =
   check_bool "all experiments registered" true
     (List.for_all
-       (fun n -> List.mem_assoc n Dts_experiments.Experiments.by_name)
+       (fun n -> List.mem n Dts_experiments.Experiments.names)
        [ "table1"; "table2"; "fig5a"; "fig5"; "fig6"; "fig7"; "fig8";
          "table3"; "fig9"; "ablation"; "all" ])
 
