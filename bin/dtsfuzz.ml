@@ -28,16 +28,17 @@ let run_replay ~geoms files =
     (fun path ->
       match Dts_fuzz.Driver.replay ~geoms path with
       | Dts_fuzz.Diff.Pass { instret } ->
-        Printf.printf "replay %s: PASS (%d instructions)\n" path instret
+        Cli.print (Printf.sprintf "replay %s: PASS (%d instructions)\n" path instret)
       | Skip reason ->
-        Printf.printf "replay %s: SKIP (%s)\n" path reason;
+        Cli.print (Printf.sprintf "replay %s: SKIP (%s)\n" path reason);
         failed := true
       | Fail divs ->
-        Printf.printf "replay %s: FAIL\n" path;
-        List.iter
-          (fun d ->
-            Printf.printf "  %s\n" (Dts_fuzz.Driver.describe_div d))
-          divs;
+        Cli.print
+          (String.concat ""
+             (Printf.sprintf "replay %s: FAIL\n" path
+             :: List.map
+                  (fun d -> Printf.sprintf "  %s\n" (Dts_fuzz.Driver.describe_div d))
+                  divs));
         failed := true
       | exception Dts_fuzz.Repro.Parse_error { line; msg } ->
         Cli.fail "%s:%d: %s" path line msg)
@@ -78,7 +79,7 @@ let run_campaign ~seed ~count ~max_insns ~geoms ~jobs ~out ~no_shrink =
     Dts_fuzz.Driver.run_campaign ~jobs ~geoms ~max_insns
       ~shrink:(not no_shrink) ~out_dir:out ~seed ~count ()
   in
-  print_string (summary_text ~seed ~max_insns ~geoms summary);
+  Cli.print (summary_text ~seed ~max_insns ~geoms summary);
   if summary.s_failures = [] then Cli.ok else Cli.task_failure
 
 let corpus_files dir =

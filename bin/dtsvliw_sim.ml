@@ -17,7 +17,8 @@
    Junk flag values, flag combinations that cannot run together and output
    files (--trace, --stats-json) that cannot be opened exit 2 before the
    run; a malformed program file is reported as FILE:LINE: message and
-   exits 1. *)
+   exits 1, and so is a write that fails later (a full disk), as one
+   `cannot write FILE: reason` line. *)
 
 open Cmdliner
 module Config = Dts_core.Config
@@ -213,22 +214,29 @@ let simulate ~optcheck ~budget ~dump_blocks machine ~tracer program =
   (Buffer.contents buf, m, ok)
 
 let run_single ~simulate ~load ~trace_file ~trace_limit ~stats_json =
-  let trace_oc = Option.map Cli.open_out_or_die trace_file in
-  let stats_oc = Option.map Cli.open_out_or_die stats_json in
-  let tracer =
-    match trace_oc with
-    | None -> Dts_obs.Trace.null
-    | Some oc -> Dts_obs.Trace.to_channel ~limit:trace_limit oc
+  let open_file = Option.map (fun path -> (path, Cli.open_out_or_die path)) in
+  let trace = open_file trace_file and stats = open_file stats_json in
+  let program = load () in
+  let text, m, ok =
+    match trace with
+    | None -> simulate ~tracer:Dts_obs.Trace.null program
+    | Some (path, oc) ->
+      (* the tracer writes as the machine runs *)
+      Cli.writing path oc (fun () ->
+          let r =
+            simulate ~tracer:(Dts_obs.Trace.to_channel ~limit:trace_limit oc)
+              program
+          in
+          close_out oc;
+          r)
   in
-  let text, m, ok = simulate ~tracer (load ()) in
-  print_string text;
+  Cli.print text;
   Option.iter
-    (fun oc ->
-      output_string oc (Dts_obs.Stats.to_json_string (Machine.stats m));
-      close_out oc)
-    stats_oc;
-  Dts_obs.Trace.close tracer;
-  Option.iter close_out trace_oc;
+    (fun (path, oc) ->
+      Cli.writing path oc (fun () ->
+          output_string oc (Dts_obs.Stats.to_json_string (Machine.stats m));
+          close_out oc))
+    stats;
   if not ok then exit Cli.task_failure
 
 (* Several workloads: simulate concurrently on the pool, print the reports
@@ -244,9 +252,8 @@ let run_many ~simulate ~scale ~workloads ~jobs =
   in
   List.iteri
     (fun i (name, (text, _)) ->
-      if i > 0 then print_newline ();
-      Printf.printf "=== %s ===\n" name;
-      print_string text)
+      Cli.print
+        (Printf.sprintf "%s=== %s ===\n%s" (if i > 0 then "\n" else "") name text))
     (List.combine workloads reports);
   if List.exists (fun (_, ok) -> not ok) reports then exit Cli.task_failure
 

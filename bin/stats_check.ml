@@ -79,7 +79,9 @@ let check_stats path =
   if attributed_vliw <> vliw_cycles then
     fail "VLIW attribution sums to %d but vliw_cycles = %d" attributed_vliw
       vliw_cycles;
-  Printf.printf "stats_check: %s ok (%d cycles fully attributed)\n" path cycles
+  Cli.print
+    (Printf.sprintf "stats_check: %s ok (%d cycles fully attributed)\n" path
+       cycles)
 
 let alloc_slack = 1.25
 
@@ -134,9 +136,10 @@ let check_alloc base_path fresh_path =
             name minor
             ((alloc_slack -. 1.) *. 100.)
             base limit;
-        Printf.printf
-          "stats_check: figure %s minor words %d within %d baseline limit\n"
-          name minor limit
+        Cli.print
+          (Printf.sprintf
+             "stats_check: figure %s minor words %d within %d baseline limit\n"
+             name minor limit)
       | Some _ -> ())
     fresh
 
@@ -198,9 +201,9 @@ let check_optgap path =
         fail "%s: row %s: negative search-node count" path where;
       if certified = blocks then incr certified_rows)
     expected rows;
-  Printf.printf
-    "stats_check: %s ok (optgap: %d rows, %d fully certified)\n" path
-    (List.length rows) !certified_rows
+  Cli.print
+    (Printf.sprintf "stats_check: %s ok (optgap: %d rows, %d fully certified)\n"
+       path (List.length rows) !certified_rows)
 
 let () =
   match Sys.argv with

@@ -5,7 +5,8 @@
     Exit codes (documented in the README):
     - [0] — success;
     - [1] — the task itself failed (a fuzz divergence, a failed replay, a
-      malformed program or reproducer file);
+      malformed program or reproducer file, an output that could not be
+      written);
     - [2] — usage errors rejected before any work starts: junk flag values
       (non-positive budget/count, unknown config name, an output file that
       cannot be opened, ...) and flag combinations that cannot run
@@ -47,6 +48,24 @@ let check_non_negative ~what n =
     before any work starts, so an unwritable path never costs a run. *)
 let open_out_or_die path =
   try open_out path with Sys_error msg -> die "cannot write output file %s" msg
+
+(** Run [f], which writes to [oc], the output called [name], and should end
+    by flushing or closing it. A write that fails (a full disk, say) exits
+    {!task_failure} with one [cannot write NAME: reason] line instead of an
+    uncaught [Sys_error]. *)
+let writing name oc f =
+  try f ()
+  with Sys_error msg ->
+    (* closed, so the flush of the standard channels at exit cannot fail
+       again *)
+    close_out_noerr oc;
+    fail "cannot write %s: %s" name msg
+
+(** Print [s] on standard output and flush it, under {!writing}. *)
+let print s =
+  writing "standard output" stdout (fun () ->
+      print_string s;
+      flush stdout)
 
 (** [Cmd.info] with the shared [--version] string attached. *)
 let cmd_info ?doc name = Cmd.info ?doc ~version name
