@@ -124,7 +124,9 @@ let stats_text buf (m : Machine.t) instructions =
 
 let dump_blocks_text buf (m : Machine.t) n =
   let blocks = ref [] in
-  Dts_mem.Blockcache.iter (fun _ b -> blocks := b :: !blocks) m.vcache;
+  Dts_mem.Blockcache.iter
+    (fun _ (c : Machine.cached) -> blocks := c.block :: !blocks)
+    m.vcache;
   let blocks =
     List.sort
       (fun a b -> compare a.Dts_sched.Schedtypes.tag_addr b.tag_addr)

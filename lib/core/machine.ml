@@ -15,6 +15,10 @@ module Trace = Dts_obs.Trace
 exception
   Test_mode_mismatch of { cycle : int; pc : int; detail : string }
 
+type cached = { block : block; mutable plan : Dts_vliw.Plan.t option }
+(** A VLIW Cache line (§3.4): the scheduled block and, from its first
+    fetch on, the plan compiled from it. The plan leaves with the line. *)
+
 type vstate = { mutable block : block; mutable idx : int }
 (** named, not inline: [run]'s burst loop passes the record to a helper *)
 
@@ -35,21 +39,13 @@ type t = {
   primary : Dts_primary.Primary.t;
   sched : scheduler_iface;
   engine : Dts_vliw.Engine.t;
-  vcache : block Dts_mem.Blockcache.t;
+  vcache : cached Dts_mem.Blockcache.t;
   icache : Dts_mem.Cache.t;
   dcache : Dts_mem.Cache.t;
   compile : bool;
-      (** compile installed blocks into execution plans (default); [false]
+      (** compile cached blocks into execution plans (default); [false]
           interprets the scheduling structures directly — the differential
           test baseline and debugging escape hatch *)
-  plan_cache : (int, Dts_vliw.Plan.t) Hashtbl.t;
-      (** block tag -> compiled plan; mirrors VLIW Cache residency (every
-          payload drop also drops the plan) *)
-  mutable last_plan : Dts_vliw.Plan.t option;
-      (** memo of the most recently entered plan: a block spinning on
-          itself re-enters without touching [plan_cache]. Guarded by block
-          identity, so staleness is impossible — a dropped block is never
-          the probe result again *)
   code_index : (int, int list ref) Hashtbl.t;
       (** code word address -> tags of cached blocks scheduled from it;
           consulted by the memory write hook so self-modifying code
@@ -79,7 +75,7 @@ let default_scheduler cfg =
     s_finish = (fun ~nba_addr -> Dts_sched.Sched_unit.finish_block u ~nba_addr);
   }
 
-(* --- plan / code-index bookkeeping (install-time block compilation) --- *)
+(* --- code-index bookkeeping --- *)
 
 (* Distinct code word addresses a block was scheduled from. *)
 let block_words (b : block) =
@@ -111,10 +107,8 @@ let register_block_words t (b : block) =
     (block_words b)
 
 (* Fired by the VLIW Cache whenever a block leaves it (replacement,
-   eviction, invalidation): the plan compiled from the block dies with it,
-   and its code words stop mapping to its tag. *)
+   eviction, invalidation): its code words stop mapping to its tag. *)
 let on_block_drop t (b : block) =
-  Hashtbl.remove t.plan_cache b.tag_addr;
   List.iter
     (fun w ->
       match Hashtbl.find_opt t.code_index w with
@@ -171,8 +165,6 @@ let create ?(compile = true) ?(fastpath = true) ?scheduler ?tracer cfg program =
       icache;
       dcache;
       compile;
-      plan_cache = Hashtbl.create 256;
-      last_plan = None;
       code_index = Hashtbl.create 1024;
       mode = M_primary;
       vmode = M_primary;
@@ -186,7 +178,7 @@ let create ?(compile = true) ?(fastpath = true) ?scheduler ?tracer cfg program =
       obs;
     }
   in
-  Dts_mem.Blockcache.set_on_drop t.vcache (fun _key b -> on_block_drop t b);
+  Dts_mem.Blockcache.set_on_drop t.vcache (fun _key c -> on_block_drop t c.block);
   (* registered after the golden state was copied, so only this machine's
      memory notifies (the golden machine executes unmodified semantics on
      its own copy). A watched hook: {!register_block_words} puts every page
@@ -298,9 +290,12 @@ let install_ready_blocks t =
     Queue.iter
       (fun ((c, b) as pending) ->
         if c <= t.cycles then begin
-          (match Dts_mem.Blockcache.insert t.vcache b.tag_addr b with
+          (match
+             Dts_mem.Blockcache.insert t.vcache b.tag_addr
+               { block = b; plan = None }
+           with
           | Some evicted when tracing t ->
-            trace t (Trace.Block_evict { tag = evicted.tag_addr })
+            trace t (Trace.Block_evict { tag = evicted.block.tag_addr })
           | Some _ | None -> ());
           register_block_words t b;
           if tracing t then trace t (Trace.Block_install { tag = b.tag_addr })
@@ -365,39 +360,25 @@ let probe t addr =
 (* Engine transitions                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let compile_plan t (block : block) =
-  let p = Dts_vliw.Plan.compile ~nwindows:t.st.nwindows block in
-  t.obs.plans_compiled <- t.obs.plans_compiled + 1;
-  Hashtbl.replace t.plan_cache block.tag_addr p;
-  p
-
-let enter_vliw t block =
+let enter_vliw t (c : cached) =
+  let block = c.block in
   t.obs.engine_switches <- t.obs.engine_switches + 1;
   if tracing t then begin
     trace t (Trace.Block_fetch { tag = block.tag_addr });
     trace t (Trace.Engine_switch { to_vliw = true; pc = block.tag_addr })
   end;
   (if t.compile then begin
-     (* lazy compile-on-first-fetch: the physical-equality guard catches a
-        same-tag reinstall whose plan drop raced the pending-queue window.
-        [Hashtbl.find]+[Not_found], not [find_opt]: entering a block must
-        not box an option *)
      let plan =
-       match t.last_plan with
-       | Some p when p.Dts_vliw.Plan.p_block == block ->
+       match c.plan with
+       | Some p ->
          t.obs.plan_hits <- t.obs.plan_hits + 1;
          p
-       | _ ->
-         let plan =
-           match Hashtbl.find t.plan_cache block.tag_addr with
-           | p when p.Dts_vliw.Plan.p_block == block ->
-             t.obs.plan_hits <- t.obs.plan_hits + 1;
-             p
-           | _ -> compile_plan t block
-           | exception Not_found -> compile_plan t block
-         in
-         t.last_plan <- Some plan;
-         plan
+       | None ->
+         (* compiled on the line's first fetch *)
+         let p = Dts_vliw.Plan.compile ~nwindows:t.st.nwindows block in
+         t.obs.plans_compiled <- t.obs.plans_compiled + 1;
+         c.plan <- Some p;
+         p
      in
      Dts_vliw.Engine.enter_plan t.engine plan
    end
@@ -451,16 +432,17 @@ let to_primary t cat =
 (* ------------------------------------------------------------------ *)
 
 let step_primary t =
+  Trace.stamp t.obs.tracer t.cycles;
   (* the Fetch Unit probes the VLIW Cache with the address of the
      instruction about to execute (§3.6) *)
   match (if t.exception_mode then None else probe t t.st.pc) with
-  | Some block ->
+  | Some c ->
     (* flush the block under construction, pointing it at the hit block *)
     flush_current t ~nba_addr:t.st.pc;
     t.cycles <- t.cycles + t.cfg.swap_to_vliw;
     charge t Attr.Switch_to_vliw t.cfg.swap_to_vliw;
     sync t;
-    enter_vliw t block
+    enter_vliw t c
   | None -> (
     match Dts_primary.Primary.step t.primary with
     | exception Dts_primary.Primary.Halted ->
@@ -516,11 +498,11 @@ let li_outcome (t : machine) (block : block) res =
           ~penalty:t.cfg.next_li_penalty
       in
       match probe t next_addr with
-      | Some b2 ->
+      | Some c2 ->
         t.cycles <- t.cycles + penalty;
         t.vliw_cycles <- t.vliw_cycles + penalty;
         charge t Attr.Next_li_penalty penalty;
-        enter_vliw t b2
+        enter_vliw t c2
       | None -> to_primary t Attr.Switch_to_primary)
   | R_redirect { target } -> (
       t.st.pc <- target;
@@ -538,7 +520,7 @@ let li_outcome (t : machine) (block : block) res =
       charge t Attr.Mispredict_redirect penalty;
       sync t;
       match probe t target with
-      | Some b2 -> enter_vliw t b2
+      | Some c2 -> enter_vliw t c2
       | None -> to_primary t Attr.Switch_to_primary)
   | R_exn kind ->
       (* rollback already happened; PC is back at the block start and the
@@ -554,32 +536,18 @@ let li_outcome (t : machine) (block : block) res =
       | E_trap _ -> t.exception_mode <- true);
     to_primary t Attr.Recovery_switch
 
-let step t =
-  Trace.stamp t.obs.tracer t.cycles;
-  match t.mode with
-  | M_primary -> step_primary t
-  | M_vliw ({ block; _ } as v) -> (
-    let res = Dts_vliw.Engine.exec_li_fast t.engine block v.idx in
-    let penalty = t.engine.Dts_vliw.Engine.pen in
-    let c = 1 + penalty in
-    t.cycles <- t.cycles + c;
-    t.vliw_cycles <- t.vliw_cycles + c;
-    charge t Attr.Vliw_execute 1;
-    charge t Attr.Vliw_dcache_stall penalty;
-    match res with
-    | R_next -> v.idx <- v.idx + 1
-    | r -> li_outcome t block r)
-
-(* Execute long instructions back-to-back until the block ends (or the
-   instruction budget is hit), batching the cycle counters and attribution
-   into one update per burst. Equivalent to iterating [step] in [M_vliw]
-   mode: within a block, [R_next] outcomes touch neither the golden machine
-   nor the mode, so only the sequential instruction count needs a
-   per-iteration guard. Used by [run] when tracing is off — the tracer
-   wants a [Trace.stamp] before every long instruction. *)
+(* The one loop that executes long instructions: back-to-back until the
+   block ends or the sequential instruction count reaches
+   [max_instructions], batching the cycle counters and attribution into
+   one update per burst. Within a block, [R_next] outcomes touch neither
+   the golden machine nor the mode, so only the instruction count needs a
+   per-iteration guard. [cyc] cycles of the burst are not yet in
+   [t.cycles], so the tracer is stamped with [t.cycles + cyc] before each
+   long instruction. *)
 let rec vliw_burst (t : machine) (v : vstate) max_instructions cyc stall =
+  Trace.stamp t.obs.tracer (t.cycles + cyc);
   let block = v.block in
-  let res = Dts_vliw.Engine.exec_li_fast t.engine block v.idx in
+  let res = Dts_vliw.Engine.exec_li t.engine block v.idx in
   let penalty = t.engine.Dts_vliw.Engine.pen in
   let cyc = cyc + 1 + penalty in
   let stall = stall + penalty in
@@ -599,19 +567,25 @@ and burst_charge (t : machine) cyc stall =
   charge t Attr.Vliw_execute (cyc - stall);
   charge t Attr.Vliw_dcache_stall stall
 
+(* In [M_vliw], a burst bounded by the current count: exactly one long
+   instruction. *)
+let step t =
+  match t.mode with
+  | M_primary -> step_primary t
+  | M_vliw v -> vliw_burst t v t.st.instret 0 0
+
 (** Run until the program halts or the golden machine has retired at least
     [max_instructions]. Returns the sequential instruction count. *)
 let run ?(max_instructions = max_int) t =
   let g = Dts_golden.Golden.state t.golden in
-  let traced = tracing t in
   while
     (not t.halted)
     && g.instret < max_instructions
     && t.st.instret < max_instructions
   do
     match t.mode with
-    | M_vliw v when not traced -> vliw_burst t v max_instructions 0 0
-    | _ -> step t
+    | M_primary -> step_primary t
+    | M_vliw v -> vliw_burst t v max_instructions 0 0
   done;
   (* drain: finish with a final golden sync and a full memory comparison *)
   if t.halted then begin

@@ -12,6 +12,16 @@ exception Test_mode_mismatch of { cycle : int; pc : int; detail : string }
 (** The dynamically scheduled execution diverged from the sequential
     semantics — always a simulator bug, never expected. *)
 
+type cached = {
+  block : Dts_sched.Schedtypes.block;
+  mutable plan : Dts_vliw.Plan.t option;
+}
+(** A VLIW Cache line (§3.4): the scheduled block and the execution plan
+    compiled from it. The plan is compiled on the line's first fetch (when
+    the machine compiles; see [~compile] of {!create}) and stays in the
+    line, so it leaves the cache with the block: an evicted or invalidated
+    block that is scheduled again gets a fresh line and a fresh plan. *)
+
 type vstate = {
   mutable block : Dts_sched.Schedtypes.block;
   mutable idx : int;
@@ -34,18 +44,12 @@ type t = {
   primary : Dts_primary.Primary.t;
   sched : scheduler_iface;
   engine : Dts_vliw.Engine.t;
-  vcache : Dts_sched.Schedtypes.block Dts_mem.Blockcache.t;  (** VLIW Cache *)
+  vcache : cached Dts_mem.Blockcache.t;  (** VLIW Cache *)
   icache : Dts_mem.Cache.t;
   dcache : Dts_mem.Cache.t;
   compile : bool;
       (** execute VLIW Cache hits through compiled plans (default) or the
           engine's interpreter ([~compile:false]) *)
-  plan_cache : (int, Dts_vliw.Plan.t) Hashtbl.t;
-      (** block tag -> compiled plan; mirrors VLIW Cache residency *)
-  mutable last_plan : Dts_vliw.Plan.t option;
-      (** memo of the most recently entered plan, guarded by block
-          identity — a block spinning on itself re-enters without a
-          [plan_cache] lookup *)
   code_index : (int, int list ref) Hashtbl.t;
       (** code word -> tags of cached blocks scheduled from it, for
           self-modifying-code invalidation *)
@@ -80,7 +84,8 @@ val create :
     DTSVLIW Scheduler Unit (used by the DIF baseline); [tracer] (default
     {!Dts_obs.Trace.null}, i.e. disabled) receives the structural events of
     the run as JSONL. [compile] (default [true]) executes cached blocks
-    through install-time-compiled plans ({!Dts_vliw.Plan}); [~compile:false]
+    through the plans ({!Dts_vliw.Plan}) kept in their {!cached} lines;
+    [~compile:false]
     falls back to the engine's interpreter — the two are differentially
     tested to produce identical statistics, registers and memory.
     [fastpath] (default [true]) runs the sequential engines (Primary
@@ -91,6 +96,8 @@ val create :
 
 val step : t -> unit
 (** One simulation step: one Primary instruction or one long instruction.
+    A long instruction runs through the same loop as in {!run}, bounded to
+    one.
     @raise Test_mode_mismatch on architectural divergence. *)
 
 val run : ?max_instructions:int -> t -> int

@@ -150,7 +150,7 @@ type t = {
           {!Dts_isa.Semantics.exec_into_ov}; its closures read the
           [cur_subs] field above *)
   mutable pen : int;
-      (** data-cache penalty cycles of the last {!exec_li_fast} *)
+      (** data-cache penalty cycles of the last {!exec_li} *)
   stats : stats;
   tracer : Dts_obs.Trace.t;
       (** event sink for rollback/aliasing observability; the machine
@@ -922,17 +922,11 @@ let exec_li_interp t (block : block) idx : li_result =
     was entered through {!enter_plan}, else interprets. Allocation-free for
     [R_next] steps — the machine's hot loop reads [t.pen] instead of a
     result tuple. *)
-let exec_li_fast t (block : block) idx : li_result =
+let exec_li t (block : block) idx : li_result =
   t.stats.lis_executed <- t.stats.lis_executed + 1;
   t.pen <- 0;
   if t.plan_on then exec_li_plan t block t.plan_v idx
   else exec_li_interp t block idx
-
-(** Tupled wrapper around {!exec_li_fast}: the control outcome plus the
-    penalty cycles. *)
-let exec_li t (block : block) idx : li_result * int =
-  let r = exec_li_fast t block idx in
-  (r, t.pen)
 
 (** Clean block exit. In the checkpoint scheme the recovery data is simply
     dropped; in the data-store-list scheme the buffered stores drain to

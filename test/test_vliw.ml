@@ -82,7 +82,7 @@ let test_parallel_reads_pre_state () =
   let b = block_of [ li ] in
   Dts_vliw.Engine.enter_block e b;
   (match Dts_vliw.Engine.exec_li e b 0 with
-  | R_block_end { next_addr }, _ -> check_int "nba" 0x2000 next_addr
+  | R_block_end { next_addr } -> check_int "nba" 0x2000 next_addr
   | _ -> Alcotest.fail "expected block end");
   check_int "r2 got old r1" 10 (vis st 2);
   check_int "r1 got old r2" 20 (vis st 1)
@@ -149,7 +149,7 @@ let test_correct_prediction_commits_gated_ops () =
   in
   Dts_vliw.Engine.enter_block e b;
   (match Dts_vliw.Engine.exec_li e b 0 with
-  | R_block_end _, _ -> ()
+  | R_block_end _ -> ()
   | _ -> Alcotest.fail "expected clean block end");
   check_int "gated op committed" 7 (vis st 4)
 
@@ -170,7 +170,7 @@ let test_mispredict_annuls_gated_ops () =
   in
   Dts_vliw.Engine.enter_block e b;
   (match Dts_vliw.Engine.exec_li e b 0 with
-  | R_redirect { target }, _ -> check_int "actual fallthrough" 0x1004 target
+  | R_redirect { target } -> check_int "actual fallthrough" 0x1004 target
   | _ -> Alcotest.fail "expected redirect");
   check_int "pre-branch op committed" 1 (vis st 5);
   check_int "gated op annulled" 0 (vis st 4)
@@ -195,10 +195,10 @@ let test_deferred_exception_via_copy () =
   let b = block_of [ li_of [ (Op ld, 0) ]; li_of [ (copy, 0) ] ] in
   Dts_vliw.Engine.enter_block e b;
   (match Dts_vliw.Engine.exec_li e b 0 with
-  | R_next, _ -> ()
+  | R_next -> ()
   | _ -> Alcotest.fail "speculative fault must be deferred");
   (match Dts_vliw.Engine.exec_li e b 1 with
-  | R_exn (E_trap (Dts_isa.Semantics.Misaligned _)), _ -> ()
+  | R_exn (E_trap (Dts_isa.Semantics.Misaligned _)) -> ()
   | _ -> Alcotest.fail "copy must surface the deferred trap");
   check_int "deferrals counted" 1 e.stats.deferred_exceptions
 
@@ -212,7 +212,7 @@ let test_unrenamed_trap_is_immediate () =
   let b = block_of [ li_of [ (Op ld, 0) ] ] in
   Dts_vliw.Engine.enter_block e b;
   match Dts_vliw.Engine.exec_li e b 0 with
-  | R_exn (E_trap (Dts_isa.Semantics.Misaligned _)), _ -> ()
+  | R_exn (E_trap (Dts_isa.Semantics.Misaligned _)) -> ()
   | _ -> Alcotest.fail "unrenamed fault must abort the block"
 
 (* ---- checkpoint rollback ---- *)
@@ -272,7 +272,7 @@ let test_aliasing_store_then_hoisted_load () =
   Dts_vliw.Engine.enter_block e b;
   ignore (Dts_vliw.Engine.exec_li e b 0);
   (match Dts_vliw.Engine.exec_li e b 1 with
-  | R_exn E_aliasing, _ -> ()
+  | R_exn E_aliasing -> ()
   | _ -> Alcotest.fail "expected aliasing exception");
   check_int "counted" 1 e.stats.aliasing_exceptions
 
@@ -290,9 +290,9 @@ let test_no_aliasing_when_disjoint () =
   in
   let b = block_of [ li_of [ (Op ld, 0) ]; li_of [ (Op store, 0) ] ] in
   Dts_vliw.Engine.enter_block e b;
-  (match Dts_vliw.Engine.exec_li e b 0 with R_next, _ -> () | _ -> Alcotest.fail "next");
+  (match Dts_vliw.Engine.exec_li e b 0 with R_next -> () | _ -> Alcotest.fail "next");
   match Dts_vliw.Engine.exec_li e b 1 with
-  | R_block_end _, _ -> ()
+  | R_block_end _ -> ()
   | _ -> Alcotest.fail "no aliasing expected"
 
 let test_in_order_same_address_ok () =
@@ -312,7 +312,7 @@ let test_in_order_same_address_ok () =
   Dts_vliw.Engine.enter_block e b;
   ignore (Dts_vliw.Engine.exec_li e b 0);
   (match Dts_vliw.Engine.exec_li e b 1 with
-  | R_block_end _, _ -> ()
+  | R_block_end _ -> ()
   | _ -> Alcotest.fail "in-order pair must not trip the detector");
   check_int "load saw the store" 123 (vis st 3)
 
