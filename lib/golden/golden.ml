@@ -16,13 +16,6 @@ type t = {
   fastpath : bool;
 }
 
-let create ?(nwindows = 32) ?mem ?(fastpath = true) () =
-  {
-    st = Dts_isa.State.create ~nwindows ?mem ();
-    buf = Dts_isa.Semantics.make_buf ();
-    fastpath;
-  }
-
 let of_state ?(fastpath = true) st =
   { st; buf = Dts_isa.Semantics.make_buf (); fastpath }
 
@@ -91,26 +84,13 @@ let run ?max_instructions t =
    with Program_halted -> ());
   st.instret - start
 
-(** Step until the golden PC equals [pc] or the budget runs out — the test
-    mode synchronisation primitive ("runs until its PC becomes equal to the
-    DTSVLIW PC"). Returns [false] if the budget was exhausted first, or if
-    the machine halted away from [pc]. A machine sitting halted {e at} [pc]
-    has reached it — the answer does not depend on whether the halt
-    happened before or during this call. *)
-let run_until_pc ?(fuel = 10_000_000) t ~pc =
-  let rec go fuel =
-    if t.st.pc = pc then true
-    else if t.st.halted || fuel = 0 then false
-    else begin
-      (try step t with Program_halted -> ());
-      go (fuel - 1)
-    end
-  in
-  go fuel
-
 (** Advance to the next occurrence of [pc] (a no-op if already there),
     stopping early on halt or when [fuel] runs out; returns the unspent
-    fuel. The inner loop is the test-mode sync hot path: on the fast path
+    fuel. This is the test-mode synchronisation primitive ("runs until its
+    PC becomes equal to the DTSVLIW PC"): [pc] was reached iff the PC
+    equals it afterwards, so a machine sitting halted {e at} [pc] has
+    reached it whether the halt happened before or during the call. The
+    inner loop is the sync hot path: on the fast path
     it runs {!step_fast} directly — one exception handler around the whole
     run instead of a handler, a halt test and a dispatch per step. *)
 let advance_to_pc t ~pc ~fuel =

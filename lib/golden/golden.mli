@@ -9,16 +9,13 @@ exception Program_halted
 
 type t
 
-val create : ?nwindows:int -> ?mem:Dts_mem.Memory.t -> ?fastpath:bool -> unit -> t
-(** A fresh machine; [nwindows] defaults to 32. [fastpath] (default [true])
-    selects the allocation-free packed-op interpreter
+val of_state : ?fastpath:bool -> Dts_isa.State.t -> t
+(** Wrap an existing architectural state (the co-simulation boots two
+    identical states and hands one to the golden machine). [fastpath]
+    (default [true]) selects the allocation-free packed-op interpreter
     ({!Dts_isa.Semantics.exec_into}); [false] keeps the boxed
     {!Dts_isa.Semantics.exec} path, retained as the differential oracle.
     Both paths are observationally identical. *)
-
-val of_state : ?fastpath:bool -> Dts_isa.State.t -> t
-(** Wrap an existing architectural state (used by the co-simulation, which
-    boots two identical states and hands one to the golden machine). *)
 
 val state : t -> Dts_isa.State.t
 
@@ -30,14 +27,10 @@ val run : ?max_instructions:int -> t -> int
 (** Run until [Halt] or the budget; returns instructions retired by this
     call. *)
 
-val run_until_pc : ?fuel:int -> t -> pc:int -> bool
-(** Step until the PC equals [pc] ([false] if the fuel ran out first, or if
-    the machine halted elsewhere) — the test-mode synchronisation
-    primitive. Halted {e at} [pc] counts as reached whether the halt
-    predates the call or happens during it. *)
-
 val advance_to_pc : t -> pc:int -> fuel:int -> int
 (** Advance to the next occurrence of [pc] (a no-op if already there),
     stopping on halt or fuel exhaustion; returns the unspent fuel. The
-    co-simulation sync loop's inner primitive: one exception handler per
-    run instead of per step. *)
+    test-mode synchronisation primitive: [pc] was reached iff the PC equals
+    it afterwards, so halted {e at} [pc] counts as reached whether the halt
+    predates the call or happens during it. One exception handler per run
+    instead of per step. *)

@@ -130,12 +130,6 @@ let misses t = t.misses
 let insertions t = t.insertions
 let evictions t = t.evictions
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.insertions <- 0;
-  t.evictions <- 0
-
 let iter f t =
   Array.iter
     (fun ways ->
@@ -148,5 +142,3 @@ let entry_count t =
   let n = ref 0 in
   iter (fun _ _ -> incr n) t;
   !n
-
-let capacity t = t.n_sets * t.assoc

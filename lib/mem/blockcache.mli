@@ -29,15 +29,13 @@ val set_on_drop : 'a t -> (int -> 'a -> unit) -> unit
 (** Register the single drop observer, called with (key, payload) whenever
     a resident payload leaves the cache — same-key replacement by
     {!insert}, LRU eviction, {!invalidate} or {!invalidate_all}. Owners of
-    state derived from cached payloads (the machine's compiled execution
-    plans) release it here. The callback must not mutate the cache. *)
+    state derived from cached payloads (the machine's code-word index)
+    release it here. The callback must not mutate the cache. *)
 
 val invalidate_all : 'a t -> unit
 val hits : 'a t -> int
 val misses : 'a t -> int
 val insertions : 'a t -> int
 val evictions : 'a t -> int
-val reset_stats : 'a t -> unit
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 val entry_count : 'a t -> int
-val capacity : 'a t -> int

@@ -118,15 +118,8 @@ let probe c addr =
     let ways, tag = locate c addr in
     Array.exists (fun w -> w.valid && w.tag = tag) ways
 
-let invalidate_all c =
-  Array.iter (fun ways -> Array.iter (fun w -> w.valid <- false) ways) c.sets
-
 let hits c = c.hits
 let misses c = c.misses
-
-let reset_stats c =
-  c.hits <- 0;
-  c.misses <- 0
 
 let describe c =
   if is_perfect c then "perfect"

@@ -23,11 +23,8 @@ val access : t -> int -> int
 val probe : t -> int -> bool
 (** Non-allocating lookup: would [addr] hit right now? *)
 
-val invalidate_all : t -> unit
-
 val hits : t -> int
 val misses : t -> int
-val reset_stats : t -> unit
 
 val describe : t -> string
 (** e.g. ["32KB 4-way, 32B lines, 8-cycle miss"]. *)

@@ -51,10 +51,9 @@ type t = {
   mutable dir : page array;  (** page index -> page; [zero_page] = absent *)
   mutable watched : Bytes.t;
       (** per-page watch bits, parallel to [dir]: write hooks fire only for
-          stores into watched pages (or everywhere once {!add_write_hook}
-          set [watch_all]). Pages hosting pre-decoded code or installed
-          blocks are watched by their consumers; ordinary data stores skip
-          hook dispatch entirely. *)
+          stores into watched pages. Pages hosting pre-decoded code or
+          installed blocks are watched by their consumers; ordinary data
+          stores skip hook dispatch entirely. *)
   mutable stamp : int array;
       (** per-page dirty generation stamp, parallel to [dir]:
           [stamp.(ix) = gen] iff page [ix] is in the current dirty list *)
@@ -66,7 +65,6 @@ type t = {
           enter the lookaside — never the shared [zero_page], which a later
           first write to the same page would silently shadow *)
   mutable last_page : page;
-  mutable watch_all : bool;  (** a legacy hook observes every write *)
   mutable write_hooks : (int -> unit) list;
       (** notified with the byte address of every observed mutation made
           through {!write} / {!load_bytes}; a naturally aligned write never
@@ -87,7 +85,6 @@ let create () =
     gen = 1;
     last_ix = -1;
     last_page = zero_page;
-    watch_all = false;
     write_hooks = [];
     reset_hooks = [];
   }
@@ -114,14 +111,9 @@ let copy m =
        source *)
     last_ix = -1;
     last_page = zero_page;
-    watch_all = false;
     write_hooks = [];
     reset_hooks = [];
   }
-
-let add_write_hook m f =
-  m.write_hooks <- f :: m.write_hooks;
-  m.watch_all <- true
 
 let add_watched_write_hook m f = m.write_hooks <- f :: m.write_hooks
 let add_reset_hook m f = m.reset_hooks <- f :: m.reset_hooks
@@ -175,8 +167,7 @@ let[@inline] push_dirty m ix =
    page is watched. *)
 let[@inline] note_write m ix addr =
   push_dirty m ix;
-  if m.watch_all || Bytes.unsafe_get m.watched ix <> '\000' then
-    notify_write m addr
+  if Bytes.unsafe_get m.watched ix <> '\000' then notify_write m addr
 
 (* Page resolution with a one-entry lookaside over materialised pages. A
    naturally aligned access never crosses a page, so every read/write below
@@ -316,17 +307,13 @@ let load_bytes m ~addr s =
       push_dirty m ix)
     s;
   if m.write_hooks <> [] && String.length s > 0 then begin
-    (* one notification per touched 32-bit word (watched pages only,
-       unless a legacy whole-memory hook is registered) *)
+    (* one notification per touched 32-bit word of a watched page *)
     let first = addr land lnot 3 in
     let last = (addr + String.length s - 1) land lnot 3 in
     let w = ref first in
     while !w <= last do
       let ix = (!w land addr_mask) lsr page_bits in
-      if
-        m.watch_all
-        || (ix < Bytes.length m.watched
-           && Bytes.unsafe_get m.watched ix <> '\000')
+      if ix < Bytes.length m.watched && Bytes.unsafe_get m.watched ix <> '\000'
       then notify_write m !w;
       w := !w + 4
     done
@@ -418,11 +405,3 @@ let dirty_equal a b =
 let dirty_clear m =
   m.dirty_n <- 0;
   m.gen <- m.gen + 1
-
-(** Pages written since the last {!dirty_clear} (telemetry/tests). *)
-let dirty_pages m = m.dirty_n
-
-let touched_bytes m =
-  Array.fold_left
-    (fun acc p -> if p == zero_page then acc else acc + page_size)
-    0 m.dir

@@ -71,22 +71,16 @@ val clear : t -> unit
     [clear] must not be mixed with {!dirty_clear} on the same memory. Does
     not fire hooks: callers reset their own derived structures. *)
 
-val add_write_hook : t -> (int -> unit) -> unit
-(** Register an observer called with the byte address of {e every} mutation
-    made through {!write} (once per write — an aligned access never spans a
-    32-bit word) or {!load_bytes} (once per touched word). Registering a
-    whole-memory hook disables the watched-page fast path: every store pays
-    hook dispatch. Prefer {!add_watched_write_hook} + {!watch} when the
-    consumer only cares about specific pages. Hooks must not write to the
-    memory themselves. {!copy} does not carry hooks over — consumers of the
-    copy re-register. *)
-
 val add_watched_write_hook : t -> (int -> unit) -> unit
-(** Like {!add_write_hook}, but the hook only fires for stores into pages
+(** Register an observer called with the byte address of every mutation
+    made through {!write} (once per write — an aligned access never spans a
+    32-bit word) or {!load_bytes} (once per touched word) into a page
     marked with {!watch}. Stores into unwatched pages skip hook dispatch
     entirely — this is the common-path contract that keeps ordinary data
     stores hook-free while SMC invalidation still sees every store into a
-    page hosting pre-decoded code or installed blocks. *)
+    page hosting pre-decoded code or installed blocks. Hooks must not write
+    to the memory themselves. {!copy} does not carry hooks over —
+    consumers of the copy re-register. *)
 
 val watch : t -> int -> unit
 (** [watch m addr] marks the page containing [addr] so that watched write
@@ -116,9 +110,3 @@ val dirty_clear : t -> unit
 (** Reset the dirty-page journal — call after a successful comparison
     against the co-simulation partner (on both memories). *)
 
-val dirty_pages : t -> int
-(** Number of distinct pages written since the last {!dirty_clear}
-    (telemetry/tests). *)
-
-val touched_bytes : t -> int
-(** Number of bytes in allocated pages (memory-footprint statistic). *)

@@ -99,7 +99,6 @@ let create cfg =
 
 let is_empty t = t.n = 0
 let cfg t = t.cfg
-let current_block_addr t = t.first_addr
 let element t i = Option.get t.els.(i)
 let length t = t.n
 

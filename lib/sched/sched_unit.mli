@@ -48,9 +48,6 @@ val element : t -> int -> Schedtypes.element
 (** Element [i] of the scheduling list (0 = head). Used by {!Signals} and
     by tests; treat as read-only. *)
 
-val current_block_addr : t -> int option
-(** ISA address of the first instruction of the block under construction. *)
-
 val tick : t -> (int * decision) list
 (** One cycle of candidate resolution, head→tail; returns the decisions
     taken as [(element index before resolution, decision)]. *)

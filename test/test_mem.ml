@@ -145,7 +145,9 @@ let test_load_bytes_one_hook_per_word () =
   let check_span ~addr s =
     let m = Memory.create () in
     let calls = ref [] in
-    Memory.add_write_hook m (fun a -> calls := a :: !calls);
+    Memory.add_watched_write_hook m (fun a -> calls := a :: !calls);
+    (* every span below lies in one page *)
+    Memory.watch m addr;
     Memory.load_bytes m ~addr s;
     let expected =
       if String.length s = 0 then []
