@@ -72,14 +72,6 @@ val run_dif :
 (** Run one named workload on the DIF baseline.
     @raise Invalid_argument if [scale] or [budget] is not positive. *)
 
-val run_optgap : ?scale:int -> ?budget:int -> Dts_core.Config.t -> string -> run
-(** Run one named workload with its finished blocks captured and the
-    {!Dts_opt.Opt} branch-and-bound oracle's FCFS-vs-optimal summary
-    attached ([run.optgap] is [Some _]). The oracle's per-block search
-    budget is fixed ({!Dts_opt.Opt.default_node_budget}), so the summary is
-    a deterministic function of the run's blocks.
-    @raise Invalid_argument if [scale] or [budget] is not positive. *)
-
 val workload_names : string list
 
 val fig9_dtsvliw_cfg : unit -> Dts_core.Config.t
@@ -90,24 +82,13 @@ val table1 : unit -> figure
 val table2 : unit -> figure
 
 val names : string list
-(** Every figure name {!run}, {!plan} and {!assemble} accept, in the order
-    [experiments] lists them:
-    - ["table1"], ["table2"], ["fig5a"], ["fig5"], ["fig6"], ["fig7"],
-      ["fig8"], ["table3"], ["fig9"]: the paper's tables and figures;
-    - ["ablation"], ["extensions"]: scheduler design choices and the
-      measured extensions;
-    - ["breakdown"]: the feasible machine's cycle attribution, one row per
-      {!Dts_obs.Attribution.category} and one column per workload, cells as
-      percentages of total machine cycles; its TOTAL row is the sum of all
-      categories over machine cycles (the invariant: always 100.0%);
-    - ["optgap"]: the greedy FCFS scheduler's optimality gap, every
-      workload under the ideal and feasible geometries with each finished
-      block re-scheduled by the {!Dts_opt.Opt} branch-and-bound oracle;
-      rows carry summed long-instruction counts, certified lower/upper
-      optimal bounds and the gap percentage;
-    - ["all"], last: the paper's tables and figures plus ["ablation"] and
-      ["extensions"], concatenated; its [rows]/[tables] are the
-      concatenation of the components'. *)
+(** Every figure name {!run}, {!plan} and {!assemble} accept: the paper's
+    tables and figures (["table1"] … ["fig9"]), ["ablation"],
+    ["extensions"], ["breakdown"] (the feasible machine's cycle
+    attribution; its TOTAL row is always 100.0%), ["optgap"] (the greedy
+    scheduler's gap to the {!Dts_opt.Opt} oracle's optimal schedules) and,
+    last, ["all"]: every paper table and figure plus ["ablation"] and
+    ["extensions"], concatenated. *)
 
 val run :
   ?pool:Dts_parallel.Pool.t -> ?scale:int -> ?budget:int -> string -> figure

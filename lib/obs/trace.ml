@@ -30,15 +30,6 @@ type event =
       (** §3.11 rollback: registers restored, [undone] buffered/overwritten
           stores undone or annulled *)
 
-let event_name = function
-  | Engine_switch _ -> "engine_switch"
-  | Block_flush _ -> "block_flush"
-  | Block_install _ -> "block_install"
-  | Block_evict _ -> "block_evict"
-  | Block_fetch _ -> "block_fetch"
-  | Aliasing_violation _ -> "aliasing_violation"
-  | Checkpoint_recovery _ -> "checkpoint_recovery"
-
 let event_names =
   [
     "engine_switch";

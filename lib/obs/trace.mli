@@ -15,7 +15,6 @@ type event =
   | Aliasing_violation of { tag : int; li : int }
   | Checkpoint_recovery of { undone : int }
 
-val event_name : event -> string
 val event_names : string list
 
 type t = {
