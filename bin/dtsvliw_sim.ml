@@ -216,28 +216,23 @@ let simulate ~optcheck ~budget ~dump_blocks machine ~tracer program =
   (Buffer.contents buf, m, ok)
 
 let run_single ~simulate ~load ~trace_file ~trace_limit ~stats_json =
-  let open_file = Option.map (fun path -> (path, Cli.open_out_or_die path)) in
-  let trace = open_file trace_file and stats = open_file stats_json in
+  let trace = Option.map Cli.open_out_or_die trace_file in
+  let stats = Option.map Cli.open_out_or_die stats_json in
   let program = load () in
   let text, m, ok =
     match trace with
     | None -> simulate ~tracer:Dts_obs.Trace.null program
-    | Some (path, oc) ->
+    | Some f ->
       (* the tracer writes as the machine runs *)
-      Cli.writing path oc (fun () ->
-          let r =
-            simulate ~tracer:(Dts_obs.Trace.to_channel ~limit:trace_limit oc)
-              program
-          in
-          close_out oc;
-          r)
+      Cli.write_file f (fun oc ->
+          simulate ~tracer:(Dts_obs.Trace.to_channel ~limit:trace_limit oc)
+            program)
   in
   Cli.print text;
   Option.iter
-    (fun (path, oc) ->
-      Cli.writing path oc (fun () ->
-          output_string oc (Dts_obs.Stats.to_json_string (Machine.stats m));
-          close_out oc))
+    (fun f ->
+      Cli.write_file f (fun oc ->
+          output_string oc (Dts_obs.Stats.to_json_string (Machine.stats m))))
     stats;
   if not ok then exit Cli.task_failure
 

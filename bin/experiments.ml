@@ -110,13 +110,8 @@ let run_experiments names scale budget jobs alloc_json optgap_json =
   if optgap_json <> None && names <> [ "optgap" ] then
     Cli.die
       "experiments: --optgap-json applies to exactly one experiment: optgap";
-  let open_json = Option.map (fun path -> (path, Cli.open_out_or_die path)) in
-  let alloc_json = open_json alloc_json and optgap_json = open_json optgap_json in
-  let write_json (path, oc) f =
-    Cli.writing path oc (fun () ->
-        f oc;
-        close_out oc)
-  in
+  let alloc_json = Option.map Cli.open_out_or_die alloc_json in
+  let optgap_json = Option.map Cli.open_out_or_die optgap_json in
   (* the alloc gate measures per-instruction simulation allocation, so the
      one-time tinyc compilations must not land inside the counted window:
      warm the workload memo first (a later figure in a bench run gets it
@@ -135,7 +130,7 @@ let run_experiments names scale budget jobs alloc_json optgap_json =
             let gc1 = Gc.quick_stat () in
             Cli.print (text ^ "\n");
             Option.iter
-              (fun out -> write_json out (write_optgap_json ~budget fig))
+              (fun f -> Cli.write_file f (write_optgap_json ~budget fig))
               optgap_json;
             {
               a_name = name;
@@ -151,7 +146,7 @@ let run_experiments names scale budget jobs alloc_json optgap_json =
           names)
   in
   Option.iter
-    (fun out -> write_json out (write_alloc_json ~budget alloc_rows))
+    (fun f -> Cli.write_file f (write_alloc_json ~budget alloc_rows))
     alloc_json
 
 let names_arg =

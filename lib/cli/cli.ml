@@ -44,15 +44,19 @@ let check_positive ~what n =
 let check_non_negative ~what n =
   if n < 0 then die "%s must be >= 0 (got %d)" what n
 
+(** An output file named by a flag. *)
+type out_file = { path : string; oc : out_channel }
+
 (** Open an output file named by a flag, or exit {!usage_error}. Called
     before any work starts, so an unwritable path never costs a run. *)
 let open_out_or_die path =
-  try open_out path with Sys_error msg -> die "cannot write output file %s" msg
+  try { path; oc = open_out path }
+  with Sys_error msg -> die "cannot write output file %s" msg
 
-(** Run [f], which writes to [oc], the output called [name], and should end
-    by flushing or closing it. A write that fails (a full disk, say) exits
-    {!task_failure} with one [cannot write NAME: reason] line instead of an
-    uncaught [Sys_error]. *)
+(* Run [f], which writes to [oc], the output called [name], and ends by
+   flushing or closing it. A write that fails (a full disk, say) exits
+   [task_failure] with one [cannot write NAME: reason] line instead of an
+   uncaught [Sys_error]. *)
 let writing name oc f =
   try f ()
   with Sys_error msg ->
@@ -61,7 +65,18 @@ let writing name oc f =
     close_out_noerr oc;
     fail "cannot write %s: %s" name msg
 
-(** Print [s] on standard output and flush it, under {!writing}. *)
+(** [write_file f w] is [w]'s result on [f]'s channel, which is closed
+    afterwards. A failed write exits {!task_failure} with one
+    [cannot write PATH: reason] line. *)
+let write_file f w =
+  writing f.path f.oc (fun () ->
+      let r = w f.oc in
+      close_out f.oc;
+      r)
+
+(** Print [s] on standard output and flush it. A failed write exits
+    {!task_failure} with one [cannot write standard output: reason]
+    line. *)
 let print s =
   writing "standard output" stdout (fun () ->
       print_string s;

@@ -85,9 +85,9 @@ val create :
     {!Dts_obs.Trace.null}, i.e. disabled) receives the structural events of
     the run as JSONL. [compile] (default [true]) executes cached blocks
     through the plans ({!Dts_vliw.Plan}) kept in their {!cached} lines;
-    [~compile:false]
-    falls back to the engine's interpreter — the two are differentially
-    tested to produce identical statistics, registers and memory.
+    [~compile:false] falls back to the engine's interpreter — the two are
+    differentially tested to produce identical statistics, registers and
+    memory.
     [fastpath] (default [true]) runs the sequential engines (Primary
     Processor and golden co-simulation) on the allocation-free packed-op
     interpreter; [~fastpath:false] keeps the boxed
