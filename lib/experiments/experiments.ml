@@ -211,68 +211,11 @@ let table2 () =
        Dts_workloads.Workloads.all)
 
 (* ------------------------------------------------------------------ *)
-(* Figure 5: block size and geometry (idealised machine)                *)
-(* ------------------------------------------------------------------ *)
-
-let fig5_geometries =
-  [ (4, 4); (8, 4); (4, 8); (16, 4); (4, 16); (8, 8); (16, 8); (8, 16); (16, 16) ]
-
-(** The first sub-chart of Figure 5 explores extreme geometries: very wide
-    single long instructions (96x1, 384x1) against the same block sizes
-    folded into 2, 4 and 8 long instructions. *)
-let fig5a_geometries =
-  [ (96, 1); (384, 1); (96, 2); (384, 2); (96, 4); (384, 4); (96, 8); (384, 8) ]
-
-let geometry_sweep ~name ~title ~geometries ~(runner : runner) () =
-  let jobs =
-    List.concat_map
-      (fun (w, h) ->
-        List.map
-          (fun nm ->
-            J_dtsvliw (Dts_core.Config.ideal ~width:w ~height:h (), nm))
-          workload_names)
-      geometries
-  in
-  let per_geometry =
-    List.map2
-      (fun (w, h) runs -> (Printf.sprintf "%dx%d" w h, runs))
-      geometries
-      (chunk (List.length workload_names) (runner jobs))
-  in
-  let lines =
-    List.map
-      (fun (label, runs) ->
-        let ipcs = List.map (fun r -> r.ipc) runs in
-        (label, List.map Dts_report.Report.f2 ipcs @ [ Dts_report.Report.f2 (avg ipcs) ]))
-      per_geometry
-  in
-  series_figure ~name ~title ~x_label:"benchmark"
-    ~x_values:(workload_names @ [ "average" ])
-    ~runs:(List.concat_map snd per_geometry)
-    lines
-
-let fig5a ~runner () =
-  geometry_sweep ~name:"fig5a"
-    ~title:
-      "Figure 5a: IPC for very wide blocks (instructions/li x li/block); \
-       perfect caches, 3072KB VLIW$"
-    ~geometries:fig5a_geometries ~runner ()
-
-
-let fig5 ~runner () =
-  geometry_sweep ~name:"fig5"
-    ~title:
-      "Figure 5b: IPC vs block geometry (instructions/li x li/block); \
-       perfect caches, 3072KB VLIW$, no next-li penalty"
-    ~geometries:fig5_geometries ~runner ()
-
-
-(* ------------------------------------------------------------------ *)
 (* Shared shape: one series per configuration over all workloads        *)
 (* ------------------------------------------------------------------ *)
 
 (** Run every workload on each labelled configuration and render one IPC
-    series per configuration (the shape of Figures 6/7, the ablation and
+    series per configuration (the shape of Figures 5/6/7, the ablation and
     the extensions tables). *)
 let config_sweep ~name ~title ~(runner : runner) labelled_cfgs =
   let jobs =
@@ -297,6 +240,40 @@ let config_sweep ~name ~title ~(runner : runner) labelled_cfgs =
     ~x_values:(workload_names @ [ "average" ])
     ~runs:(List.concat_map snd per_cfg)
     lines
+
+(* ------------------------------------------------------------------ *)
+(* Figure 5: block size and geometry (idealised machine)                *)
+(* ------------------------------------------------------------------ *)
+
+let fig5_geometries =
+  [ (4, 4); (8, 4); (4, 8); (16, 4); (4, 16); (8, 8); (16, 8); (8, 16); (16, 16) ]
+
+(** The first sub-chart of Figure 5 explores extreme geometries: very wide
+    single long instructions (96x1, 384x1) against the same block sizes
+    folded into 2, 4 and 8 long instructions. *)
+let fig5a_geometries =
+  [ (96, 1); (384, 1); (96, 2); (384, 2); (96, 4); (384, 4); (96, 8); (384, 8) ]
+
+let geometry_sweep ~name ~title ~geometries ~runner () =
+  config_sweep ~name ~title ~runner
+    (List.map
+       (fun (w, h) ->
+         (Printf.sprintf "%dx%d" w h, Dts_core.Config.ideal ~width:w ~height:h ()))
+       geometries)
+
+let fig5a ~runner () =
+  geometry_sweep ~name:"fig5a"
+    ~title:
+      "Figure 5a: IPC for very wide blocks (instructions/li x li/block); \
+       perfect caches, 3072KB VLIW$"
+    ~geometries:fig5a_geometries ~runner ()
+
+let fig5 ~runner () =
+  geometry_sweep ~name:"fig5"
+    ~title:
+      "Figure 5b: IPC vs block geometry (instructions/li x li/block); \
+       perfect caches, 3072KB VLIW$, no next-li penalty"
+    ~geometries:fig5_geometries ~runner ()
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: VLIW Cache size (8x8 geometry, associativity 4)            *)
