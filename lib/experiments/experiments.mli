@@ -1,5 +1,5 @@
-(** The evaluation harness: one figure per table and figure of the paper's
-    §4, plus ablations and the measured extensions.
+(** The evaluation harness: one plan of simulations per table and figure of
+    the paper's §4, plus ablations and the measured extensions.
 
     Every run executes in test mode (golden co-simulation), so a reported
     number is also a proof that the simulated machine computed the same
@@ -95,8 +95,8 @@ val run :
 (** [run name] is [assemble name] of the runs of [plan name], each
     evaluated by {!eval_descriptor} — over [?pool] when given, as one flat
     map for ["all"] too.
-    @raise Invalid_argument on an unknown name, or if [scale] or [budget]
-    is not positive. *)
+    @raise Invalid_argument on an unknown name, or, for a figure that
+    simulates, if [scale] or [budget] is not positive. *)
 
 (** {2 Split evaluation}
 

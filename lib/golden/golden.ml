@@ -90,9 +90,9 @@ let run ?max_instructions t =
     PC becomes equal to the DTSVLIW PC"): [pc] was reached iff the PC
     equals it afterwards, so a machine sitting halted {e at} [pc] has
     reached it whether the halt happened before or during the call. The
-    inner loop is the sync hot path: on the fast path
-    it runs {!step_fast} directly — one exception handler around the whole
-    run instead of a handler, a halt test and a dispatch per step. *)
+    inner loop is the sync hot path: on the fast path it runs {!step_fast}
+    directly — one exception handler around the whole run instead of a
+    handler, a halt test and a dispatch per step. *)
 let advance_to_pc t ~pc ~fuel =
   let st = t.st in
   let fuel = ref fuel in
