@@ -81,7 +81,7 @@ type t = {
   insert_full : int;
   pending_high_water : int;
   syncs : int;  (** test-mode golden synchronisation points *)
-  (* plan cache (install-time block compilation) *)
+  (* block compilation: plans kept in VLIW Cache lines *)
   plans_compiled : int;
   plan_hits : int;
   wdelta_variants : int;
@@ -138,7 +138,7 @@ let invariant_holds s =
 (* JSON snapshot (the [--stats-json] schema)                            *)
 (* ------------------------------------------------------------------ *)
 
-(* v2: adds the "plan" section (install-time block compilation) *)
+(* v2: adds the "plan" section (block compilation) *)
 let schema_version = 2
 
 let to_json s : Json.t =
