@@ -278,6 +278,29 @@ let run workloads file scale budget jobs feasible dif width height vcache_kb
     workloads;
   if optcheck && dif then
     Cli.die "--optcheck applies to DTSVLIW machines only (not --dif)";
+  (* the DIF baseline and the feasible machine fix what these flags set, so
+     accepting them would silently run a machine other than the one asked
+     for *)
+  let machine_flags =
+    List.filter_map
+      (fun (flag, set) -> if set then Some flag else None)
+      [
+        ("--feasible", feasible);
+        ("--width", width <> None);
+        ("--height", height <> None);
+        ("--vcache-kb", vcache_kb <> None);
+        ("--vcache-assoc", vcache_assoc <> None);
+        ("--no-renaming", no_renaming);
+        ("--store-list", store_list);
+        ("--predict-next", predict_next);
+        ("--multicycle", multicycle);
+      ]
+  in
+  if dif && machine_flags <> [] then
+    Cli.die "--dif simulates its own fixed machine: drop %s"
+      (String.concat ", " machine_flags);
+  if feasible && (width <> None || height <> None) then
+    Cli.die "--feasible fixes its own geometry: drop --width/--height";
   let machine =
     if dif then Dif
     else

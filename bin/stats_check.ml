@@ -12,7 +12,7 @@
    minor-heap words exceed the baseline's by more than 25% fails the
    check. Simulation is deterministic, so the allocation counts are
    reproducible and the gate has no timing noise — it pins the sequential
-   fast path's allocation-free property against silent erosion.
+   interpreter's allocation-free property against silent erosion.
 
    `--optgap` mode validates an `experiments optgap --optgap-json`
    document: one row per workload under both geometries, every row's

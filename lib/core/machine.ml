@@ -138,7 +138,7 @@ let on_code_write t addr =
         tags
   end
 
-let create ?(compile = true) ?(fastpath = true) ?scheduler ?tracer cfg program =
+let create ?(compile = true) ?scheduler ?tracer cfg program =
   let st = Dts_asm.Program.boot ~nwindows:cfg.Config.sched.nwindows program in
   let golden_st = Dts_isa.State.copy st in
   let icache = Config.make_cache cfg.icache in
@@ -151,10 +151,10 @@ let create ?(compile = true) ?(fastpath = true) ?scheduler ?tracer cfg program =
     {
       cfg;
       st;
-      golden = Dts_golden.Golden.of_state ~fastpath golden_st;
+      golden = Dts_golden.Golden.of_state golden_st;
       primary =
-        Dts_primary.Primary.create ~timing:cfg.primary_timing ~fastpath
-          ~icache ~dcache st;
+        Dts_primary.Primary.create ~timing:cfg.primary_timing ~icache ~dcache
+          st;
       sched;
       engine =
         Dts_vliw.Engine.create ~scheme:cfg.store_scheme ~tracer:obs.tracer
@@ -651,9 +651,5 @@ let stats t : Dts_obs.Stats.t =
     trace_dropped = Trace.dropped o.tracer;
   }
 
-(** Instructions per cycle, measured the paper's way: sequential
-    instructions (golden count) over DTSVLIW cycles. Derived from the
-    {!stats} snapshot, as are the two fractions below. *)
-let ipc t = Dts_obs.Stats.ipc (stats t)
 let vliw_cycle_fraction t = Dts_obs.Stats.vliw_cycle_fraction (stats t)
 let slot_utilisation t = Dts_obs.Stats.slot_utilisation (stats t)

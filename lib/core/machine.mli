@@ -74,7 +74,6 @@ type t = {
 
 val create :
   ?compile:bool ->
-  ?fastpath:bool ->
   ?scheduler:(unit -> scheduler_iface) ->
   ?tracer:Dts_obs.Trace.t ->
   Config.t ->
@@ -87,12 +86,7 @@ val create :
     through the plans ({!Dts_vliw.Plan}) kept in their {!cached} lines;
     [~compile:false] falls back to the engine's interpreter — the two are
     differentially tested to produce identical statistics, registers and
-    memory.
-    [fastpath] (default [true]) runs the sequential engines (Primary
-    Processor and golden co-simulation) on the allocation-free packed-op
-    interpreter; [~fastpath:false] keeps the boxed
-    {!Dts_isa.Semantics.exec} path — also differentially tested
-    identical. *)
+    memory. *)
 
 val step : t -> unit
 (** One simulation step: one Primary instruction or one long instruction.
@@ -109,10 +103,6 @@ val stats : t -> Dts_obs.Stats.t
 (** Consolidated snapshot of every counter the machine and its components
     (scheduler, VLIW engine, caches, tracer) maintain, including the
     per-category cycle attribution. The one read surface for telemetry. *)
-
-val ipc : t -> float
-(** Sequential instructions / DTSVLIW cycles — the paper's metric.
-    Derived from the {!stats} snapshot. *)
 
 val vliw_cycle_fraction : t -> float
 (** Fraction of cycles spent executing long instructions (Table 3's "VLIW

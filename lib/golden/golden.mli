@@ -9,13 +9,11 @@ exception Program_halted
 
 type t
 
-val of_state : ?fastpath:bool -> Dts_isa.State.t -> t
+val of_state : Dts_isa.State.t -> t
 (** Wrap an existing architectural state (the co-simulation boots two
-    identical states and hands one to the golden machine). [fastpath]
-    (default [true]) selects the allocation-free packed-op interpreter
-    ({!Dts_isa.Semantics.exec_into}); [false] keeps the boxed
-    {!Dts_isa.Semantics.exec} path, retained as the differential oracle.
-    Both paths are observationally identical. *)
+    identical states and hands one to the golden machine). It executes
+    packed micro-ops through {!Dts_isa.Semantics.exec_into}, allocating
+    nothing per instruction. *)
 
 val state : t -> Dts_isa.State.t
 

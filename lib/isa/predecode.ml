@@ -30,8 +30,8 @@ let page_mask = (1 lsl page_bits) - 1
 
 (** One decoded page: the boxed decode and its packed {!Uop} form are
     cached side by side, filled together on the first fetch of a word, so
-    the fast path ({!fetch_uop}) reads a single immediate int and the boxed
-    path ({!fetch}) still gets its [Instr.t] without re-decoding. *)
+    the sequential engines ({!fetch_uop}) read a single immediate int and a
+    boxed fetch ({!fetch}) still gets its [Instr.t] without re-decoding. *)
 type page = {
   insns : Instr.t option array;
   uops : int array;  (** {!Uop.none} where [insns] holds [None] *)
@@ -134,9 +134,9 @@ let fetch t ~addr =
     | None -> decode_slot t pg ~addr ~slot
   end
 
-(** {!fetch} in packed form: the counting fetch of the fast path. Returns
-    the micro-op as an immediate int; decodes (and caches both forms) on a
-    cold slot. *)
+(** {!fetch} in packed form: the counting fetch of the sequential
+    engines. Returns the micro-op as an immediate int; decodes (and caches
+    both forms) on a cold slot. *)
 let fetch_uop t ~addr =
   if addr land 3 <> 0 then
     Uop.of_instr ~pc:addr (Encode.fetch t.mem ~addr)

@@ -85,7 +85,7 @@ let alu_result (op : Instr.alu) a b =
 
 (* Int-coded twins of {!alu_result} / {!alu_icc} / {!eval_cond} operating
    directly on the {!Encode.alu_code} / [cond_code] numbering cached in
-   packed uops: the fast path dispatches once on the code instead of
+   packed uops: {!exec_into} dispatches once on the code instead of
    rebuilding the variant and matching it again. Order must match
    {!Encode.alu_code}: Add Sub And Andn Or Orn Xor Xnor Sll Srl Sra Smul
    Umul Sdiv Udiv. *)
@@ -404,7 +404,7 @@ let service_and_exec st ~cwp ~pc instr trap =
               (show_trap t) pc)))
   | Misaligned _ -> assert false
 
-(** {1 The allocation-free sequential fast path}
+(** {1 The allocation-free sequential interpreter}
 
     {!exec} describes effects as an [outcome] record — a [writes] list plus
     two options — which costs ~50 minor words per instruction across the
@@ -412,11 +412,11 @@ let service_and_exec st ~cwp ~pc instr trap =
     golden test machine and the Primary Processor) apply every effect
     immediately and never rename anything, so they do not need the
     descriptive form: {!exec_into} executes a packed {!Uop} micro-op into a
-    preallocated mutable {!outcome_buf} instead, allocating nothing. The two
-    paths implement the same semantics — {!exec} is kept as the VLIW
-    engine's API {e and} as the differential oracle ([test/test_fastpath.ml]
-    proves bit-identical end states on every workload and the fuzz
-    corpus). *)
+    preallocated mutable {!outcome_buf} instead, allocating nothing. Both
+    implement the same semantics: {!exec} is the VLIW Engine's interpreter
+    and the reference that a QCheck property in [test/test_isa.ml] holds
+    {!exec_into} to, one random instruction on one random state at a
+    time. *)
 
 (** Mutable per-engine scratch for one instruction's effects: fixed slots
     instead of a [write list], validity encoded in-band ([-1] = no register

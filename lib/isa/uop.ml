@@ -1,4 +1,4 @@
-(** Packed, operand-resolved micro-ops for the sequential fast path.
+(** Packed, operand-resolved micro-ops for the sequential interpreter.
 
     A micro-op is a single immediate [int] — one word, never boxed — that
     caches everything {!Semantics.exec_into} needs to execute an

@@ -120,9 +120,3 @@ let probe c addr =
 
 let hits c = c.hits
 let misses c = c.misses
-
-let describe c =
-  if is_perfect c then "perfect"
-  else
-    Printf.sprintf "%dKB %d-way, %dB lines, %d-cycle miss"
-      (c.size_bytes / 1024) c.assoc c.line_bytes c.miss_penalty

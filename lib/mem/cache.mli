@@ -25,6 +25,3 @@ val probe : t -> int -> bool
 
 val hits : t -> int
 val misses : t -> int
-
-val describe : t -> string
-(** e.g. ["32KB 4-way, 32B lines, 8-cycle miss"]. *)

@@ -14,12 +14,9 @@
       causes a 1-cycle bubble;
     - instruction and data cache misses stall for their miss penalties.
 
-    Two execution paths implement these semantics: the default {e fast
-    path} runs packed {!Dts_isa.Uop} micro-ops through
-    {!Dts_isa.Semantics.exec_into} (no allocation per instruction), and the
-    {e reference path} keeps the boxed {!Dts_isa.Semantics.exec} outcomes.
-    They are observationally identical — the fast-path differential suite
-    compares them on every workload and fuzz reproducer. *)
+    Execution runs packed {!Dts_isa.Uop} micro-ops through
+    {!Dts_isa.Semantics.exec_into}, allocating nothing per instruction;
+    only {!step}'s retirement record is boxed. *)
 
 type timing = {
   not_taken_branch_bubble : int;  (** Table 1: 3 *)
@@ -65,19 +62,14 @@ type t = {
   icache : Dts_mem.Cache.t;
   dcache : Dts_mem.Cache.t;
   timing : timing;
-  fastpath : bool;
-  buf : Dts_isa.Semantics.outcome_buf;  (** fast-path outcome scratch *)
-  mutable last_load_writes : Dts_isa.Storage.t list;
-      (** reference path: destinations of the previous instruction if it
-          was a load *)
+  buf : Dts_isa.Semantics.outcome_buf;  (** outcome scratch *)
   mutable last_load_p : int;
-      (** fast path: physical integer destination of the previous
-          instruction if it was an integer load, or -1 *)
+      (** physical integer destination of the previous instruction if it
+          was an integer load, or -1 *)
   mutable last_load_f : int;  (** ... fp destination for [fload], or -1 *)
-  mutable retired_count : int;
   mutable total_cycles : int;
       (** pipeline cycles consumed by every instruction retired so far *)
-  (* scratch observations of the last fast-path step, consumed by [step]
+  (* scratch observations of the last [step_core], consumed by [step]
      when it builds the retirement record *)
   mutable s_trapped : bool;
   mutable s_cycles : int;
@@ -85,18 +77,15 @@ type t = {
   mutable s_dcache_stall : int;
 }
 
-let create ?(timing = default_timing) ?(fastpath = true) ~icache ~dcache st =
+let create ?(timing = default_timing) ~icache ~dcache st =
   {
     st;
     icache;
     dcache;
     timing;
-    fastpath;
     buf = Dts_isa.Semantics.make_buf ();
-    last_load_writes = [];
     last_load_p = -1;
     last_load_f = -1;
-    retired_count = 0;
     total_cycles = 0;
     s_trapped = false;
     s_cycles = 0;
@@ -111,108 +100,14 @@ exception Halted
 (* Halt retires without touching the caches or the cycle budget: the final
    fetch is not replayed architecturally, so accruing its stall cycles
    while dropping the retirement record would make the cycle books and the
-   cache stats disagree (the obs sum invariant). Both paths share this. *)
+   cache stats disagree (the obs sum invariant). *)
 let retire_halt t =
   t.st.halted <- true;
   t.st.instret <- t.st.instret + 1;
-  t.retired_count <- t.retired_count + 1;
   raise Halted
 
-(* ------------------------------------------------------------------ *)
-(* Reference path: boxed outcomes through Semantics.exec.             *)
-(* ------------------------------------------------------------------ *)
-
-let step_ref t : retired =
-  let st = t.st in
-  if st.halted then raise Halted;
-  let pc = st.pc in
-  let cwp = st.cwp in
-  let instr = Dts_isa.Predecode.fetch st.predecode ~addr:pc in
-  if instr = Dts_isa.Instr.Halt then retire_halt t;
-  let cycles = ref 1 in
-  let icache_stall = Dts_mem.Cache.access t.icache pc in
-  let dcache_stall = ref 0 in
-  cycles := !cycles + icache_stall;
-  cycles := !cycles + Dts_isa.Instr.latency t.timing.latencies instr - 1;
-  let out = Dts_isa.Semantics.exec st ~cwp ~pc instr in
-  let trapped = out.trap <> None in
-  let out =
-    match out.trap with
-    | None -> out
-    | Some trap ->
-      cycles := !cycles + t.timing.trap_service_cycles;
-      Dts_isa.Semantics.service_and_exec st ~cwp ~pc instr trap
-  in
-  (* load-use bubble: this instruction reads the previous load's result *)
-  let observed_mem =
-    match (out.load, out.store) with
-    | Some (a, s), _ -> Some (a, s)
-    | None, Some (a, s, _) -> Some (a, s)
-    | None, None -> None
-  in
-  (* the one rwsets decode of this retirement; reused by the hazard check
-     below and by whichever scheduler receives the record *)
-  let rwsets =
-    if observed_mem = None && Dts_isa.Instr.is_mem instr then ([], [])
-    else
-      Dts_isa.Rwsets.of_instr ~nwindows:st.nwindows ~cwp ?mem:observed_mem
-        instr
-  in
-  (if
-     t.last_load_writes <> []
-     && (observed_mem <> None || not (Dts_isa.Instr.is_mem instr))
-   then
-     let reads = fst rwsets in
-     if Dts_isa.Storage.any_overlap reads t.last_load_writes then
-       cycles := !cycles + t.timing.load_use_bubble);
-  (* data cache access *)
-  (match out.load with
-  | Some (a, _) -> dcache_stall := !dcache_stall + Dts_mem.Cache.access t.dcache a
-  | None -> ());
-  (match out.store with
-  | Some (a, _, _) ->
-    dcache_stall := !dcache_stall + Dts_mem.Cache.access t.dcache a
-  | None -> ());
-  cycles := !cycles + !dcache_stall;
-  (* not-taken branch bubble (Table 1) *)
-  (match instr with
-  | Dts_isa.Instr.Branch { cond; _ }
-    when cond <> Dts_isa.Instr.A && not out.taken ->
-    cycles := !cycles + t.timing.not_taken_branch_bubble
-  | _ -> ());
-  Dts_isa.Semantics.apply st out;
-  t.last_load_writes <-
-    (if Dts_isa.Instr.is_load instr && not trapped then
-       List.filter_map
-         (fun w ->
-           match w with
-           | Dts_isa.Semantics.W_phys (p, _) -> Some (Dts_isa.Storage.Int_reg p)
-           | W_freg (f, _) -> Some (Dts_isa.Storage.Fp_reg f)
-           | W_icc _ | W_win _ -> None)
-         out.writes
-     else []);
-  t.retired_count <- t.retired_count + 1;
-  t.total_cycles <- t.total_cycles + !cycles;
-  {
-    instr;
-    addr = pc;
-    cwp;
-    next_pc = out.next_pc;
-    taken = out.taken;
-    mem = observed_mem;
-    rwsets;
-    trapped;
-    cycles = !cycles;
-    icache_stall;
-    dcache_stall = !dcache_stall;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Fast path: packed micro-ops into the preallocated outcome buffer.  *)
-(* ------------------------------------------------------------------ *)
-
 (* Does [u] read the destination of the previous instruction's load?
-   Mirrors [Storage.any_overlap (fst rwsets) last_load_writes] for the only
+   Decides [Storage.any_overlap (fst rwsets) load_writes] for the only
    positions a load can write (one integer or one fp register): memory,
    flag and window reads can never overlap them. [-1] sentinels make the
    comparisons vacuously false when there is no previous load. *)
@@ -237,9 +132,9 @@ let reads_prev_load_dest t u ~cwp =
   else false (* sethi, branches, call, trap, nop read no register a load
                 can write *)
 
-(* One full fast-path step minus the retirement record: executes, accounts
-   cycles into the scratch fields and [total_cycles], applies. [step] wraps
-   it to build the record; [run] loops it for record-free execution. *)
+(* One full step minus the retirement record: executes, accounts cycles
+   into the scratch fields and [total_cycles], applies. [step] wraps it to
+   build the record; [run] loops it for record-free execution. *)
 let step_core t =
   let module U = Dts_isa.Uop in
   let st = t.st in
@@ -296,14 +191,16 @@ let step_core t =
     t.last_load_f <- -1
   end;
   Dts_isa.Semantics.apply_buf st b;
-  t.retired_count <- t.retired_count + 1;
   t.total_cycles <- t.total_cycles + !cycles;
   t.s_trapped <- trapped;
   t.s_cycles <- !cycles;
   t.s_icache_stall <- icache_stall;
   t.s_dcache_stall <- !dcache_stall
 
-let step_fast t : retired =
+(** Execute one instruction at the current PC and return its retirement
+    record. Traps are serviced in place (and flagged). Raises {!Halted} when
+    the program stops. *)
+let step t : retired =
   let st = t.st in
   if st.halted then raise Halted;
   let pc = st.pc in
@@ -338,35 +235,23 @@ let step_fast t : retired =
     dcache_stall = t.s_dcache_stall;
   }
 
-(** Execute one instruction at the current PC and return its retirement
-    record. Traps are serviced in place (and flagged). Raises {!Halted} when
-    the program stops. *)
-let step t : retired = if t.fastpath then step_fast t else step_ref t
-
 (** Run to [Halt] (or for [max_instructions]) without building retirement
-    records; returns the number of instructions retired by this call. On
-    the fast path this executes allocation-free — the engine of choice for
-    standalone Primary runs (the fuzzer's differential oracle, IPC
-    baselines). Timing is accounted identically to {!step}
-    (see {!total_cycles}). *)
+    records; returns the number of instructions retired by this call. This
+    executes allocation-free — the engine of choice for standalone Primary
+    runs (the fuzzer's differential oracle, IPC baselines). Timing is
+    accounted identically to {!step} (see {!total_cycles}). *)
 let run ?(max_instructions = max_int) t =
   let st = t.st in
   let start = st.instret in
   (try
-     if t.fastpath then
-       while st.instret - start < max_instructions do
-         step_core t
-       done
-     else
-       while st.instret - start < max_instructions do
-         ignore (step_ref t)
-       done
+     while st.instret - start < max_instructions do
+       step_core t
+     done
    with Halted -> ());
   st.instret - start
 
 (** Invalidate pipeline-local hazard tracking (used when the machine swaps
     engines — the pipeline is refilled, so stale hazards must not apply). *)
 let reset_hazards t =
-  t.last_load_writes <- [];
   t.last_load_p <- -1;
   t.last_load_f <- -1

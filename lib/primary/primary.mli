@@ -44,17 +44,13 @@ type t
 
 val create :
   ?timing:timing ->
-  ?fastpath:bool ->
   icache:Dts_mem.Cache.t ->
   dcache:Dts_mem.Cache.t ->
   Dts_isa.State.t ->
   t
 (** A Primary Processor over a shared architectural state — the DTSVLIW's
-    engines share the register file and data cache ports (§3.6).
-    [fastpath] (default [true]) selects the allocation-free packed-op
-    interpreter ({!Dts_isa.Semantics.exec_into}); [false] keeps the boxed
-    {!Dts_isa.Semantics.exec} path, retained as the differential oracle.
-    The two paths retire identical records. *)
+    engines share the register file and data cache ports (§3.6). It
+    executes packed micro-ops through {!Dts_isa.Semantics.exec_into}. *)
 
 exception Halted
 
@@ -62,16 +58,16 @@ val step : t -> retired
 (** Execute one instruction at the current PC. Traps are serviced in place
     and flagged in the result. @raise Halted when the program stops.
 
-    [Halt] retires (instruction count and retirement count move) without
-    touching the instruction cache or consuming pipeline cycles: its fetch
-    stall can appear in no retirement record, so charging it would break
-    the cycles-equal-sum-of-attributions invariant. *)
+    [Halt] retires (the instruction count moves) without touching the
+    instruction cache or consuming pipeline cycles: its fetch stall can
+    appear in no retirement record, so charging it would break the
+    cycles-equal-sum-of-attributions invariant. *)
 
 val run : ?max_instructions:int -> t -> int
 (** Run until [Halt] or the budget, skipping retirement-record
-    construction; returns instructions retired by this call. On the fast
-    path this allocates nothing per instruction. Timing accounting is
-    identical to repeated {!step} (see {!total_cycles}). *)
+    construction; returns instructions retired by this call. This
+    allocates nothing per instruction. Timing accounting is identical to
+    repeated {!step} (see {!total_cycles}). *)
 
 val total_cycles : t -> int
 (** Pipeline cycles consumed by every instruction retired so far (through

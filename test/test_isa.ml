@@ -261,7 +261,9 @@ let gen_operand =
   QCheck2.Gen.(
     oneof [ map (fun r -> Instr.Reg r) gen_reg; map (fun i -> Instr.Imm i) (int_range (-2048) 2047) ])
 
-let gen_instr =
+(* Every instruction form except [Halt], with branch and call targets
+   around [pc = 0x10000]. *)
+let gen_exec_instr =
   let open QCheck2.Gen in
   let pc = 0x10000 in
   let gen_alu =
@@ -278,7 +280,6 @@ let gen_instr =
   oneof
     [
       return Instr.Nop;
-      return Instr.Halt;
       map (fun n -> Instr.Trap n) (int_range 0 255);
       map
         (fun (op, cc, rs1, op2, rd) -> Instr.Alu { op; cc; rs1; op2; rd })
@@ -315,6 +316,9 @@ let gen_instr =
         (fun (rd, rs1, op2) -> Instr.Fstore { rd; rs1; op2 })
         (tup3 gen_reg gen_reg gen_operand);
     ]
+
+let gen_instr =
+  QCheck2.Gen.(frequency [ (1, return Instr.Halt); (14, gen_exec_instr) ])
 
 let prop_encode_roundtrip =
   QCheck2.Test.make ~count:2000 ~name:"encode/decode round-trip"
@@ -362,6 +366,119 @@ let prop_disasm_assemble_roundtrip =
       | [| (addr, reassembled) |] ->
         addr = pc && Instr.equal reassembled decoded && Instr.equal decoded i
       | _ -> false)
+
+(* ---- exec and exec_into agree, one instruction at a time ---- *)
+
+(* A random architectural state as plain data, so QCheck can print and
+   shrink it. Register values mix small integers, the int32 extremes, full
+   32-bit patterns and addresses into a randomly filled data window
+   (aligned or not), so memory accesses and jumps both succeed and trap.
+   The window spill stack holds [spilled] frames and [resident] more
+   windows are in use, so saves and restores reach overflow, underflow and
+   the empty-stack fault. *)
+type rand_state = {
+  nwindows : int;
+  cwp : int;
+  spilled : int;
+  resident : int;
+  icc : int;
+  iregs : int array;
+  fregs : int array;
+  data : int array;  (** the data window's words, then the spill stack's *)
+}
+
+let data_words = 64
+
+let gen_word = QCheck2.Gen.map Semantics.norm32 (QCheck2.Gen.int_bound 0xFFFFFFFF)
+
+let gen_rand_state =
+  let open QCheck2.Gen in
+  let gen_value =
+    frequency
+      [
+        (2, int_range (-8) 8);
+        (1, oneofl [ 0x7FFFFFFF; -0x80000000 ]);
+        (1, gen_word);
+        (3, map (fun o -> Layout.data_base + o) (int_bound ((4 * data_words) - 1)));
+      ]
+  in
+  let* nwindows = int_range 2 8 in
+  let* cwp = int_bound (nwindows - 1) in
+  let* spilled = int_bound 2 in
+  let* resident = int_bound (nwindows - 1) in
+  let* icc = int_bound 15 in
+  let* iregs = array_repeat (State.n_globals + (nwindows * 16)) gen_value in
+  let* fregs = array_repeat 32 gen_word in
+  let+ data = array_repeat (data_words + (16 * spilled)) gen_word in
+  { nwindows; cwp; spilled; resident; icc; iregs; fregs; data }
+
+let show_rand_state r =
+  let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf
+    "nwindows=%d cwp=%d spilled=%d resident=%d icc=%d\niregs=%s\nfregs=%s\ndata=%s"
+    r.nwindows r.cwp r.spilled r.resident r.icc (ints r.iregs) (ints r.fregs)
+    (ints r.data)
+
+let exec_pc = 0x10000 (* [gen_exec_instr]'s targets are around this pc *)
+
+let state_of r =
+  let st = State.create ~nwindows:r.nwindows () in
+  Array.blit r.iregs 1 st.iregs 1 (Array.length r.iregs - 1);
+  Array.blit r.fregs 0 st.fregs 0 32;
+  st.icc <- r.icc;
+  st.cwp <- r.cwp;
+  st.wdepth <- r.spilled + r.resident;
+  st.wspill_sp <- Layout.wspill_base + (64 * r.spilled);
+  Array.iteri
+    (fun k w ->
+      let addr =
+        if k < data_words then Layout.data_base + (4 * k)
+        else Layout.wspill_base + (4 * (k - data_words))
+      in
+      Dts_mem.Memory.write st.mem ~addr ~size:4 w)
+    r.data;
+  st.pc <- exec_pc;
+  st
+
+(* What one step observed besides the end state: the next PC, the taken
+   flag and the load and store (address, size) — or the fatal fault. *)
+type observed = (int * bool * (int * int) option * (int * int) option, string) result
+
+let step_boxed st instr : observed =
+  match exec1 st instr with
+  | out ->
+    Ok (out.next_pc, out.taken, out.load,
+        Option.map (fun (a, s, _) -> (a, s)) out.store)
+  | exception Semantics.Fatal_fault m -> Error m
+
+let step_packed st instr : observed =
+  let cwp = st.State.cwp and pc = st.State.pc in
+  let u = Uop.of_instr ~pc instr in
+  let b = Semantics.make_buf () in
+  match
+    Semantics.exec_into st ~cwp ~pc u b;
+    if b.b_trap <> Semantics.t_none then
+      Semantics.service_and_exec_into st ~cwp ~pc u b
+  with
+  | () ->
+    Semantics.apply_buf st b;
+    let access size addr = if size = 0 then None else Some (addr, size) in
+    Ok (b.b_next_pc, b.b_taken, access b.b_load_size b.b_load_addr,
+        access b.b_store_size b.b_store_addr)
+  | exception Semantics.Fatal_fault m -> Error m
+
+(* The sequential engines run only the packed path; the boxed one is the
+   VLIW Engine's and this property's reference. Both sides start from
+   copies of one random state and must observe and leave the same. *)
+let prop_exec_matches_exec_into =
+  QCheck2.Test.make ~count:1000 ~name:"exec = exec_into per instruction"
+    ~print:(fun (r, i) -> Instr.show i ^ "\n" ^ show_rand_state r)
+    QCheck2.Gen.(pair gen_rand_state gen_exec_instr)
+    (fun (r, instr) ->
+      let a = state_of r in
+      let b = State.copy a in
+      step_boxed a instr = step_packed b instr
+      && State.equal a b && a.traps = b.traps && a.instret = b.instret)
 
 let test_decode_error () =
   Alcotest.check_raises "opcode 15 invalid"
@@ -497,6 +614,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_encode_roundtrip;
     QCheck_alcotest.to_alcotest prop_encode_32bit;
     QCheck_alcotest.to_alcotest prop_disasm_assemble_roundtrip;
+    QCheck_alcotest.to_alcotest prop_exec_matches_exec_into;
     Alcotest.test_case "decode error" `Quick test_decode_error;
     Alcotest.test_case "rwsets" `Quick test_rwsets;
     Alcotest.test_case "rwsets mem" `Quick test_rwsets_mem;

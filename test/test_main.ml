@@ -20,7 +20,6 @@ let () =
       ("obs", Test_obs.suite);
       ("parallel", Test_parallel.suite);
       ("predecode", Test_predecode.suite);
-      ("fastpath", Test_fastpath.suite);
       ("fuzz", Test_fuzz.suite);
       ("opt", Test_opt.suite);
     ]

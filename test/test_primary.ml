@@ -277,8 +277,8 @@ let test_window_underflow_fatal_agreement () =
   check_int "same instret at fault" gst.Dts_isa.State.instret
     pst.Dts_isa.State.instret
 
-(* Halt accounting (the obs sum invariant): Halt retires — instret and the
-   retirement count move — but its final fetch charges no cycles and does
+(* Halt accounting (the obs sum invariant): Halt retires — instret
+   moves — but its final fetch charges no cycles and does
    not touch the instruction cache. The stall of that fetch can appear in
    no retirement record, so charging either side would make total cycles
    disagree with the sum of per-retirement cycles, or the cache hit/miss
@@ -290,36 +290,131 @@ start:  mov 1, %o0
         xor %o1, 3, %o2
         halt
 |} in
-  let check_path fastpath =
-    let icache =
-      Dts_mem.Cache.create ~size_bytes:256 ~line_bytes:16 ~assoc:1
-        ~miss_penalty:6
-    in
-    let program = Dts_asm.Assembler.assemble src in
-    let st = Dts_asm.Program.boot program in
-    let p =
-      Dts_primary.Primary.create ~fastpath ~icache
-        ~dcache:(Dts_mem.Cache.perfect ()) st
-    in
-    let cycles = ref 0 and retired = ref 0 in
-    (try
-       while true do
-         let r = Dts_primary.Primary.step p in
-         cycles := !cycles + r.Dts_primary.Primary.cycles;
-         incr retired
-       done
-     with Dts_primary.Primary.Halted -> ());
-    (* the sum of per-retirement cycles is the total — nothing vanished *)
-    check_int "cycles = sum of retirement records" !cycles
-      (Dts_primary.Primary.total_cycles p);
-    (* halt retired architecturally... *)
-    check_int "instret counts halt" (!retired + 1) st.Dts_isa.State.instret;
-    (* ...but its fetch moved no cache counter: one access per record *)
-    check_int "icache accesses = retirement records" !retired
-      (Dts_mem.Cache.hits icache + Dts_mem.Cache.misses icache)
+  let icache =
+    Dts_mem.Cache.create ~size_bytes:256 ~line_bytes:16 ~assoc:1
+      ~miss_penalty:6
   in
-  check_path true;
-  check_path false
+  let program = Dts_asm.Assembler.assemble src in
+  let st = Dts_asm.Program.boot program in
+  let p =
+    Dts_primary.Primary.create ~icache ~dcache:(Dts_mem.Cache.perfect ()) st
+  in
+  let cycles = ref 0 and retired = ref 0 in
+  (try
+     while true do
+       let r = Dts_primary.Primary.step p in
+       cycles := !cycles + r.Dts_primary.Primary.cycles;
+       incr retired
+     done
+   with Dts_primary.Primary.Halted -> ());
+  (* the sum of per-retirement cycles is the total — nothing vanished *)
+  check_int "cycles = sum of retirement records" !cycles
+    (Dts_primary.Primary.total_cycles p);
+  (* halt retired architecturally... *)
+  check_int "instret counts halt" (!retired + 1) st.Dts_isa.State.instret;
+  (* ...but its fetch moved no cache counter: one access per record *)
+  check_int "icache accesses = retirement records" !retired
+    (Dts_mem.Cache.hits icache + Dts_mem.Cache.misses icache)
+
+(* ---- load-use bubble against the observed read/write sets ---- *)
+
+module Instr = Dts_isa.Instr
+
+(* Every register field of [i], integer and fp alike. *)
+let reg_fields (i : Instr.t) =
+  let op2 = function Instr.Reg r -> [ r ] | Imm _ -> [] in
+  match i with
+  | Alu { rs1; op2 = o; rd; _ }
+  | Load { rs1; op2 = o; rd; _ }
+  | Jmpl { rs1; op2 = o; rd }
+  | Save { rs1; op2 = o; rd }
+  | Restore { rs1; op2 = o; rd }
+  | Fload { rs1; op2 = o; rd }
+  | Fstore { rd; rs1; op2 = o } ->
+    rd :: rs1 :: op2 o
+  | Store { rs; rs1; op2 = o; _ } -> rs :: rs1 :: op2 o
+  | Fpop { rs1; rs2; rd; _ } -> [ rs1; rs2; rd ]
+  | Sethi { rd; _ } -> [ rd ]
+  | Nop | Halt | Trap _ | Branch _ | Call _ -> []
+
+(* Every integer register holds a word-aligned data address, so with
+   word-aligned immediates no memory access or jump faults. *)
+let align_imm (i : Instr.t) : Instr.t =
+  let al = function Instr.Imm n -> Instr.Imm (n land lnot 3) | o -> o in
+  match i with
+  | Load r -> Load { r with op2 = al r.op2 }
+  | Store r -> Store { r with op2 = al r.op2 }
+  | Fload r -> Fload { r with op2 = al r.op2 }
+  | Fstore r -> Fstore { r with op2 = al r.op2 }
+  | Jmpl r -> Jmpl { r with op2 = al r.op2 }
+  | i -> i
+
+(* A load, then any instruction; the load's destination comes from the
+   consumer's register fields half the time, so the two often meet. *)
+let gen_load_then_consumer =
+  let open QCheck2.Gen in
+  let* consumer = map align_imm Test_isa.gen_exec_instr in
+  let fields = reg_fields consumer in
+  let gen_rd =
+    if fields = [] then Test_isa.gen_reg
+    else oneof [ Test_isa.gen_reg; oneofl fields ]
+  in
+  let gen_load =
+    oneof
+      [
+        map
+          (fun (size, rs1, op2, rd) -> Instr.Load { size; rs1; op2; rd })
+          (tup4
+             (oneofl [ Instr.Lsb; Lub; Lsh; Luh; Lw ])
+             Test_isa.gen_reg Test_isa.gen_operand gen_rd);
+        map
+          (fun (rs1, op2, rd) -> Instr.Fload { rs1; op2; rd })
+          (tup3 Test_isa.gen_reg Test_isa.gen_operand gen_rd);
+      ]
+  in
+  let+ load = map align_imm gen_load and+ cwp = int_bound 7 in
+  (cwp, load, consumer)
+
+(* The consumer pays [load_use_bubble] exactly when its observed reads
+   overlap the load's observed writes: the rule the Primary decides on
+   packed micro-ops in [reads_prev_load_dest]. The cost without the bubble
+   comes from the same consumer on a copy of the state, stepped by a fresh
+   Primary with no load before it. *)
+let prop_load_use_bubble =
+  let module P = Dts_primary.Primary in
+  QCheck2.Test.make ~count:2000
+    ~name:"load-use bubble iff the consumer reads the load's destination"
+    ~print:(fun (cwp, l, c) ->
+      Printf.sprintf "cwp=%d\n%s\n%s" cwp (Instr.show l) (Instr.show c))
+    gen_load_then_consumer
+    (fun (cwp, load, consumer) ->
+      let pc = Test_isa.exec_pc - Instr.bytes in
+      let st = Dts_isa.State.create ~nwindows:8 () in
+      for i = 1 to Array.length st.iregs - 1 do
+        st.iregs.(i) <- Dts_isa.Layout.data_base + (4 * (i land 63))
+      done;
+      st.cwp <- cwp;
+      (* one spilled frame, so a restore's underflow can refill *)
+      st.wdepth <- 1;
+      st.wspill_sp <- Dts_isa.Layout.wspill_base + 64;
+      Dts_mem.Memory.write_u32 st.mem pc (Dts_isa.Encode.encode ~pc load);
+      Dts_mem.Memory.write_u32 st.mem Test_isa.exec_pc
+        (Dts_isa.Encode.encode ~pc:Test_isa.exec_pc consumer);
+      st.pc <- pc;
+      let primary st =
+        P.create ~icache:(Dts_mem.Cache.perfect ())
+          ~dcache:(Dts_mem.Cache.perfect ()) st
+      in
+      let p = primary st in
+      let l = P.step p in
+      let alone = primary (Dts_isa.State.copy st) in
+      let c = P.step p and c_alone = P.step alone in
+      let bubble =
+        if Dts_isa.Storage.any_overlap (fst c.rwsets) (snd l.rwsets) then
+          P.default_timing.load_use_bubble
+        else 0
+      in
+      c.cycles = c_alone.cycles + bubble)
 
 let suite =
   [
@@ -339,4 +434,5 @@ let suite =
       test_window_spill_agreement;
     Alcotest.test_case "window underflow fatal: golden/primary agree" `Quick
       test_window_underflow_fatal_agreement;
+    QCheck_alcotest.to_alcotest prop_load_use_bubble;
   ]
