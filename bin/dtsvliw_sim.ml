@@ -33,9 +33,6 @@ let config_of_flags ~feasible ~width ~height ~vcache_kb ~vcache_assoc
   let base =
     if feasible then Config.feasible () else Config.ideal ?width ?height ()
   in
-  let latencies lat =
-    if multicycle then Dts_isa.Instr.multicycle_latencies else lat
-  in
   {
     base with
     vliw_cache =
@@ -47,17 +44,14 @@ let config_of_flags ~feasible ~width ~height ~vcache_kb ~vcache_assoc
       {
         base.sched with
         renaming = base.sched.renaming && not no_renaming;
-        latencies = latencies base.sched.latencies;
+        latencies =
+          (if multicycle then Dts_isa.Instr.multicycle_latencies
+           else base.sched.latencies);
       };
     store_scheme =
       (if store_list then Dts_vliw.Engine.Data_store_list
        else base.store_scheme);
     next_li_prediction = predict_next;
-    primary_timing =
-      {
-        base.primary_timing with
-        latencies = latencies base.primary_timing.latencies;
-      };
   }
 
 let workload_names =
@@ -303,10 +297,22 @@ let run workloads file scale budget jobs feasible dif width height vcache_kb
     Cli.die "--feasible fixes its own geometry: drop --width/--height";
   let machine =
     if dif then Dif
-    else
-      Dtsvliw
-        (config_of_flags ~feasible ~width ~height ~vcache_kb ~vcache_assoc
-           ~no_renaming ~store_list ~predict_next ~multicycle)
+    else begin
+      let cfg =
+        config_of_flags ~feasible ~width ~height ~vcache_kb ~vcache_assoc
+          ~no_renaming ~store_list ~predict_next ~multicycle
+      in
+      (* the VLIW Engine's aliasing log packs a slot's long-instruction
+         index and program order into fixed-width fields *)
+      let { Dts_sched.Sched_unit.width; height; _ } = cfg.sched in
+      if height > Dts_vliw.Aliaslog.max_height then
+        Cli.die "--height must be at most %d (got %d)"
+          Dts_vliw.Aliaslog.max_height height;
+      if width * height > Dts_vliw.Aliaslog.max_slots then
+        Cli.die "--width x --height must be at most %d slots (got %d x %d)"
+          Dts_vliw.Aliaslog.max_slots width height;
+      Dtsvliw cfg
+    end
   in
   let simulate = simulate ~optcheck ~budget ~dump_blocks machine in
   match (workloads, file) with

@@ -61,10 +61,10 @@ type t = {
   next_li_predictor : (int, int) Hashtbl.t;
       (** block tag -> last observed exit target (when enabled) *)
   mutable halted : bool;
-  mutable syncs : int;
-  obs : Dts_obs.Stats.collector;
-      (** aggregated statistics, cycle attribution and the event tracer;
-          read through {!stats} snapshots *)
+  obs : Dts_obs.Stats.t;
+      (** the live counters, shared with [engine]; read through {!stats}
+          snapshots *)
+  tracer : Trace.t;  (** {!Trace.null} when disabled *)
 }
 
 let default_scheduler cfg =
@@ -138,7 +138,7 @@ let on_code_write t addr =
         tags
   end
 
-let create ?(compile = true) ?scheduler ?tracer cfg program =
+let create ?(compile = true) ?scheduler ?(tracer = Trace.null) cfg program =
   let st = Dts_asm.Program.boot ~nwindows:cfg.Config.sched.nwindows program in
   let golden_st = Dts_isa.State.copy st in
   let icache = Config.make_cache cfg.icache in
@@ -146,18 +146,18 @@ let create ?(compile = true) ?scheduler ?tracer cfg program =
   let sched =
     match scheduler with Some f -> f () | None -> default_scheduler cfg
   in
-  let obs = Dts_obs.Stats.collector ?tracer () in
+  let obs = Dts_obs.Stats.create () in
   let t =
     {
       cfg;
       st;
       golden = Dts_golden.Golden.of_state golden_st;
       primary =
-        Dts_primary.Primary.create ~timing:cfg.primary_timing ~icache ~dcache
-          st;
+        Dts_primary.Primary.create ~timing:cfg.primary_timing
+          ~latencies:cfg.sched.latencies ~icache ~dcache st;
       sched;
       engine =
-        Dts_vliw.Engine.create ~scheme:cfg.store_scheme ~tracer:obs.tracer
+        Dts_vliw.Engine.create ~scheme:cfg.store_scheme ~tracer ~stats:obs
           ~dcache st;
       vcache =
         Dts_mem.Blockcache.create ~n_sets:(Config.vliw_cache_sets cfg)
@@ -174,8 +174,8 @@ let create ?(compile = true) ?scheduler ?tracer cfg program =
       pending_blocks = Queue.create ();
       next_li_predictor = Hashtbl.create 256;
       halted = false;
-      syncs = 0;
       obs;
+      tracer;
     }
   in
   Dts_mem.Blockcache.set_on_drop t.vcache (fun _key c -> on_block_drop t c.block);
@@ -197,10 +197,10 @@ let create ?(compile = true) ?scheduler ?tracer cfg program =
 (* Cycle attribution: every [t.cycles] increment below is paired with a
    charge to exactly one category, so the categories sum to the total
    cycle count (test-enforced invariant). *)
-let charge t cat n = if n <> 0 then Attr.charge t.obs.attr cat n
+let charge t cat n = if n <> 0 then Attr.charge t.obs.attribution cat n
 
-let tracing t = Trace.enabled t.obs.tracer
-let trace t ev = Trace.emit t.obs.tracer ev
+let tracing t = Trace.enabled t.tracer
+let trace t ev = Trace.emit t.tracer ev
 
 (* ------------------------------------------------------------------ *)
 (* Test-mode synchronisation                                            *)
@@ -251,8 +251,8 @@ let sync t =
     mismatch t
       (Printf.sprintf "golden model diverged at pc=%#x:\n%s" target
          (state_diff t.st gst));
-  t.syncs <- t.syncs + 1;
-  if t.cfg.memcmp_interval > 0 && t.syncs mod t.cfg.memcmp_interval = 0
+  t.obs.syncs <- t.obs.syncs + 1;
+  if t.cfg.memcmp_interval > 0 && t.obs.syncs mod t.cfg.memcmp_interval = 0
   then begin
     (* periodic sweep: the whole register file — a safety net under the
        journalled per-sync compare — and the memories. The memory compare
@@ -432,7 +432,7 @@ let to_primary t cat =
 (* ------------------------------------------------------------------ *)
 
 let step_primary t =
-  Trace.stamp t.obs.tracer t.cycles;
+  Trace.stamp t.tracer t.cycles;
   (* the Fetch Unit probes the VLIW Cache with the address of the
      instruction about to execute (§3.6) *)
   match (if t.exception_mode then None else probe t t.st.pc) with
@@ -545,7 +545,7 @@ let li_outcome (t : machine) (block : block) res =
    [t.cycles], so the tracer is stamped with [t.cycles + cyc] before each
    long instruction. *)
 let rec vliw_burst (t : machine) (v : vstate) max_instructions cyc stall =
-  Trace.stamp t.obs.tracer (t.cycles + cyc);
+  Trace.stamp t.tracer (t.cycles + cyc);
   let block = v.block in
   let res = Dts_vliw.Engine.exec_li t.engine block v.idx in
   let penalty = t.engine.Dts_vliw.Engine.pen in
@@ -602,43 +602,18 @@ let run ?(max_instructions = max_int) t =
   then mismatch t "final memory differs";
   (Dts_golden.Golden.state t.golden).instret
 
-(** Consolidated snapshot of every counter the machine and its components
-    maintain — the one read surface for telemetry. *)
+(** The live counters with those kept elsewhere filled in; the arrays are
+    copied, so the snapshot never aliases the live record. *)
 let stats t : Dts_obs.Stats.t =
   let o = t.obs in
-  let e = t.engine.Dts_vliw.Engine.stats in
   {
+    o with
     cycles = t.cycles;
     vliw_cycles = t.vliw_cycles;
     instructions = (Dts_golden.Golden.state t.golden).instret;
-    attribution = Attr.snapshot o.attr;
-    engine_switches = o.engine_switches;
-    blocks_flushed = o.blocks_flushed;
-    block_lis = o.block_lis;
-    slots_filled = o.slots_filled;
-    slots_total = o.slots_total;
+    attribution = Array.copy o.attribution;
     slots_by_class = Array.copy o.slots_by_class;
     rr_max = Array.copy o.rr_max;
-    nlp_hits = o.nlp_hits;
-    nlp_misses = o.nlp_misses;
-    insert_full = o.insert_full;
-    pending_high_water = o.pending_high_water;
-    syncs = t.syncs;
-    plans_compiled = o.plans_compiled;
-    plan_hits = o.plan_hits;
-    wdelta_variants = e.wdelta_variants;
-    code_invalidations = o.code_invalidations;
-    max_load_list = e.max_load_list;
-    max_store_list = e.max_store_list;
-    max_recovery_list = e.max_recovery_list;
-    max_data_store_list = e.max_data_store_list;
-    aliasing_exceptions = e.aliasing_exceptions;
-    deferred_exceptions = e.deferred_exceptions;
-    block_exceptions = e.block_exceptions;
-    mispredicts = e.mispredicts;
-    lis_executed = e.lis_executed;
-    ops_committed = e.ops_committed;
-    copies_committed = e.copies_committed;
     icache_hits = Dts_mem.Cache.hits t.icache;
     icache_misses = Dts_mem.Cache.misses t.icache;
     dcache_hits = Dts_mem.Cache.hits t.dcache;
@@ -647,8 +622,8 @@ let stats t : Dts_obs.Stats.t =
     vcache_misses = Dts_mem.Blockcache.misses t.vcache;
     vcache_insertions = Dts_mem.Blockcache.insertions t.vcache;
     vcache_evictions = Dts_mem.Blockcache.evictions t.vcache;
-    trace_emitted = Trace.emitted o.tracer;
-    trace_dropped = Trace.dropped o.tracer;
+    trace_emitted = Trace.emitted t.tracer;
+    trace_dropped = Trace.dropped t.tracer;
   }
 
 let vliw_cycle_fraction t = Dts_obs.Stats.vliw_cycle_fraction (stats t)

@@ -66,10 +66,10 @@ type t = {
   next_li_predictor : (int, int) Hashtbl.t;
       (** §5 extension: block tag -> last observed exit target *)
   mutable halted : bool;
-  mutable syncs : int;
-  obs : Dts_obs.Stats.collector;
-      (** aggregated statistics, cycle attribution and the event tracer;
-          treat as internal — read telemetry through {!stats} *)
+  obs : Dts_obs.Stats.t;
+      (** the live counters, which the VLIW Engine also updates; treat as
+          internal — read telemetry through {!stats} *)
+  tracer : Dts_obs.Trace.t;  (** the event sink given to {!create} *)
 }
 
 val create :
@@ -100,9 +100,11 @@ val run : ?max_instructions:int -> t -> int
     a final full-state (including memory) comparison. *)
 
 val stats : t -> Dts_obs.Stats.t
-(** Consolidated snapshot of every counter the machine and its components
-    (scheduler, VLIW engine, caches, tracer) maintain, including the
-    per-category cycle attribution. The one read surface for telemetry. *)
+(** A copy of every counter the machine and its components (scheduler,
+    VLIW Engine, caches, tracer) maintain, including the per-category cycle
+    attribution. The copy shares nothing with the machine: mutating it, or
+    running the machine on, changes neither. The one read surface for
+    telemetry. *)
 
 val vliw_cycle_fraction : t -> float
 (** Fraction of cycles spent executing long instructions (Table 3's "VLIW

@@ -364,7 +364,11 @@ let finish_block t ~nba_addr =
     and test-mode machinery of {!Dts_core.Machine}, driven by the greedy DIF
     scheduler. Returns the machine and an accessor for DIF-specific
     statistics. *)
-let machine ?(cfg = default_config) ?tracer ~machine_cfg program =
+let machine ?tracer ~(machine_cfg : Dts_core.Config.t) program =
+  let { Dts_sched.Sched_unit.width; height; nwindows; latencies; _ } =
+    machine_cfg.sched
+  in
+  let cfg = { default_config with width; height; nwindows; latencies } in
   let sched = ref None in
   let m =
     Dts_core.Machine.create ?tracer

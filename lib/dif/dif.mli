@@ -58,15 +58,16 @@ val finish_block :
 (** Emit the fall-through exit map and freeze the block. *)
 
 val machine :
-  ?cfg:config ->
   ?tracer:Dts_obs.Trace.t ->
   machine_cfg:Dts_core.Config.t ->
   Dts_asm.Program.t ->
   Dts_core.Machine.t * t
 (** A complete DIF machine (shared Primary Processor, VLIW Engine, block
     cache and test-mode machinery) driven by the greedy scheduler; returns
-    the machine and the scheduler for its statistics. [tracer] is forwarded
-    to {!Dts_core.Machine.create}. *)
+    the machine and the scheduler for its statistics. The scheduler builds
+    blocks of [machine_cfg]'s geometry, window count and latencies, with
+    {!default_config}'s register instances and exit-map size. [tracer] is
+    forwarded to {!Dts_core.Machine.create}. *)
 
 val fig9_machine_cfg : unit -> Dts_core.Config.t
 (** Figure 9's comparison parameters: 6x6 blocks, 4KB instruction and data

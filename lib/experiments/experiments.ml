@@ -11,19 +11,12 @@
     [figure.render]; consumers (the bench harness, tests, tooling) read
     data instead of parsing strings. *)
 
+module S = Dts_obs.Stats
+
 type run = {
   workload : string;
   ipc : float;
-  cycles : int;
   instructions : int;
-  vliw_fraction : float;
-  slot_utilisation : float;
-  rr_max : int array;  (** int, fp, flag, mem *)
-  max_load_list : int;
-  max_store_list : int;
-  max_recovery_list : int;
-  aliasing_exceptions : int;
-  blocks : int;
   stats : Dts_obs.Stats.t;  (** the full machine snapshot of the run *)
   optgap : Dts_opt.Opt.gap_summary option;
       (** FCFS-vs-optimal schedule comparison over the run's finished
@@ -46,16 +39,7 @@ let collect (m : Dts_core.Machine.t) workload instructions =
   {
     workload;
     ipc = float_of_int instructions /. float_of_int (max 1 s.cycles);
-    cycles = s.cycles;
     instructions;
-    vliw_fraction = Dts_obs.Stats.vliw_cycle_fraction s;
-    slot_utilisation = Dts_obs.Stats.slot_utilisation s;
-    rr_max = s.rr_max;
-    max_load_list = s.max_load_list;
-    max_store_list = s.max_store_list;
-    max_recovery_list = s.max_recovery_list;
-    aliasing_exceptions = s.aliasing_exceptions;
-    blocks = s.blocks_flushed;
     stats = s;
     optgap = None;
   }
@@ -84,12 +68,11 @@ let run_dtsvliw ?(scale = 1) ?(budget = budget_default) ?tracer cfg name =
   collect m name n
 
 (** Run one workload on the DIF baseline. *)
-let run_dif ?(scale = 1) ?(budget = budget_default) ?dif_cfg ?tracer machine_cfg
-    name =
+let run_dif ?(scale = 1) ?(budget = budget_default) ?tracer machine_cfg name =
   validate_run_args ~fn:"run_dif" ~scale ~budget;
   let w = Dts_workloads.Workloads.find name in
   let program = Dts_workloads.Workloads.program ~scale w in
-  let m, dif = Dts_dif.Dif.machine ?cfg:dif_cfg ?tracer ~machine_cfg program in
+  let m, dif = Dts_dif.Dif.machine ?tracer ~machine_cfg program in
   let n = Dts_core.Machine.run ~max_instructions:budget m in
   (collect m name n, dif)
 
@@ -403,22 +386,24 @@ let table3 ~(runner : runner) () =
     @ [ fmt (avg (List.map get runs)) ]
   in
   let fi v = string_of_int (int_of_float (Float.round v)) in
+  let count name get = metric name (fun r -> float_of_int (get r.stats)) fi in
   let rows =
     [
       metric "Instructions per Cycle" (fun r -> r.ipc) Dts_report.Report.f2;
-      metric "Integer Renaming Registers" (fun r -> float_of_int r.rr_max.(0)) fi;
-      metric "F.P. Renaming Registers" (fun r -> float_of_int r.rr_max.(1)) fi;
-      metric "Flag Renaming Registers" (fun r -> float_of_int r.rr_max.(2)) fi;
-      metric "Memory Renaming Registers" (fun r -> float_of_int r.rr_max.(3)) fi;
-      metric "Load List Size" (fun r -> float_of_int r.max_load_list) fi;
-      metric "Store List Size" (fun r -> float_of_int r.max_store_list) fi;
-      metric "Checkpoint Rec. Store List"
-        (fun r -> float_of_int r.max_recovery_list)
-        fi;
-      metric "Aliasing Exceptions" (fun r -> float_of_int r.aliasing_exceptions) fi;
-      metric "VLIW Engine Execution Cycles" (fun r -> r.vliw_fraction)
+      count "Integer Renaming Registers" (fun s -> s.S.rr_max.(0));
+      count "F.P. Renaming Registers" (fun s -> s.S.rr_max.(1));
+      count "Flag Renaming Registers" (fun s -> s.S.rr_max.(2));
+      count "Memory Renaming Registers" (fun s -> s.S.rr_max.(3));
+      count "Load List Size" (fun s -> s.S.max_load_list);
+      count "Store List Size" (fun s -> s.S.max_store_list);
+      count "Checkpoint Rec. Store List" (fun s -> s.S.max_recovery_list);
+      count "Aliasing Exceptions" (fun s -> s.S.aliasing_exceptions);
+      metric "VLIW Engine Execution Cycles"
+        (fun r -> S.vliw_cycle_fraction r.stats)
         Dts_report.Report.pct;
-      metric "Slot Utilisation" (fun r -> r.slot_utilisation) Dts_report.Report.pct;
+      metric "Slot Utilisation"
+        (fun r -> S.slot_utilisation r.stats)
+        Dts_report.Report.pct;
     ]
   in
   table_figure ~name:"table3"
@@ -472,7 +457,7 @@ let fig9 ~(runner : runner) () =
       ]
   in
   let resources =
-    let dts_rr = resources_run.rr_max in
+    let dts_rr = resources_run.stats.S.rr_max in
     Printf.sprintf
       "Resources: DTSVLIW renaming registers (compress, max/block): %d int, \
        %d fp | DIF register instances: %d int + %d fp (4 per register)\n"
@@ -534,11 +519,6 @@ let extensions ~runner () =
           feasible with
           sched =
             { feasible.sched with latencies = Dts_isa.Instr.multicycle_latencies };
-          primary_timing =
-            {
-              feasible.primary_timing with
-              latencies = Dts_isa.Instr.multicycle_latencies;
-            };
         } );
     ]
 
@@ -625,8 +605,8 @@ let breakdown ~(runner : runner) () =
     runner (List.map (fun name -> J_dtsvliw (feasible, name)) workload_names)
   in
   let fraction_of r cat =
-    float_of_int (Dts_obs.Attribution.sum_of r.stats.Dts_obs.Stats.attribution [ cat ])
-    /. float_of_int (max 1 r.cycles)
+    float_of_int (Dts_obs.Attribution.sum_of r.stats.S.attribution [ cat ])
+    /. float_of_int (max 1 r.stats.cycles)
   in
   let rows =
     List.map
@@ -640,8 +620,8 @@ let breakdown ~(runner : runner) () =
         (let totals =
            List.map
              (fun r ->
-               float_of_int (Dts_obs.Attribution.total r.stats.Dts_obs.Stats.attribution)
-               /. float_of_int (max 1 r.cycles))
+               float_of_int (Dts_obs.Attribution.total r.stats.S.attribution)
+               /. float_of_int (max 1 r.stats.cycles))
              runs
          in
          ("TOTAL (attributed/machine)"

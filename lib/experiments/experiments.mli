@@ -22,19 +22,10 @@
 type run = {
   workload : string;
   ipc : float;
-  cycles : int;
-  instructions : int;
-  vliw_fraction : float;
-  slot_utilisation : float;
-  rr_max : int array;  (** int, fp, flag, mem renaming register high water *)
-  max_load_list : int;
-  max_store_list : int;
-  max_recovery_list : int;
-  aliasing_exceptions : int;
-  blocks : int;
+  instructions : int;  (** sequential instructions (golden-machine count) *)
   stats : Dts_obs.Stats.t;
-      (** the full machine snapshot, including the per-category cycle
-          attribution *)
+      (** the full machine snapshot — cycles, Table 3's resource counters,
+          the per-category cycle attribution *)
   optgap : Dts_opt.Opt.gap_summary option;
       (** FCFS-vs-optimal schedule comparison over the run's finished
           blocks — [None] except on the [optgap] figure's runs *)
@@ -64,7 +55,6 @@ val run_dtsvliw :
 val run_dif :
   ?scale:int ->
   ?budget:int ->
-  ?dif_cfg:Dts_dif.Dif.config ->
   ?tracer:Dts_obs.Trace.t ->
   Dts_core.Config.t ->
   string ->

@@ -67,8 +67,8 @@ let run_golden program ~fuel =
 let run_primary program ~fuel =
   let st = Dts_asm.Program.boot program in
   let p =
-    Dts_primary.Primary.create ~icache:(perfect_cache ())
-      ~dcache:(perfect_cache ()) st
+    Dts_primary.Primary.create ~latencies:Dts_isa.Instr.unit_latencies
+      ~icache:(perfect_cache ()) ~dcache:(perfect_cache ()) st
   in
   match Dts_primary.Primary.run ~max_instructions:fuel p with
   | _ -> if st.halted then Finished { st; instret = st.instret } else Timeout
@@ -117,8 +117,8 @@ let lockstep_primary program ~fuel =
   let stp = Dts_asm.Program.boot program in
   let g = Dts_golden.Golden.of_state stg in
   let p =
-    Dts_primary.Primary.create ~icache:(perfect_cache ())
-      ~dcache:(perfect_cache ()) stp
+    Dts_primary.Primary.create ~latencies:Dts_isa.Instr.unit_latencies
+      ~icache:(perfect_cache ()) ~dcache:(perfect_cache ()) stp
   in
   let res = ref None in
   (try

@@ -6,7 +6,7 @@
     always at an address whose word has not changed since the last visit.
     This module memoizes the decode per code address: the first fetch of an
     address decodes and records the instruction; subsequent fetches return
-    the recorded [Instr.t] without touching memory.
+    the recorded decode without touching memory.
 
     Correctness under self-modifying code: the store registers a
     {!Dts_mem.Memory.add_watched_write_hook} observer at creation and puts
@@ -30,8 +30,8 @@ let page_mask = (1 lsl page_bits) - 1
 
 (** One decoded page: the boxed decode and its packed {!Uop} form are
     cached side by side, filled together on the first fetch of a word, so
-    the sequential engines ({!fetch_uop}) read a single immediate int and a
-    boxed fetch ({!fetch}) still gets its [Instr.t] without re-decoding. *)
+    the sequential engines ({!fetch_uop}) read a single immediate int and
+    {!instr_at} still gets its [Instr.t] without re-decoding. *)
 type page = {
   insns : Instr.t option array;
   uops : int array;  (** {!Uop.none} where [insns] holds [None] *)
@@ -116,27 +116,14 @@ let decode_slot t pg ~addr ~slot =
   pg.insns.(slot) <- Some instr;
   pg.uops.(slot) <- Uop.of_instr ~pc:addr instr;
   t.decodes <- t.decodes + 1;
-  Dts_mem.Memory.watch t.mem addr;
-  instr
+  Dts_mem.Memory.watch t.mem addr
 
-(** Fetch and decode the instruction at [addr], reusing a previous decode of
-    the same (unmodified) word when one exists. Misaligned addresses are
-    never cached — they fall through to {!Encode.fetch}, which raises. *)
-let fetch t ~addr =
-  if addr land 3 <> 0 then Encode.fetch t.mem ~addr
-  else begin
-    let pg = page_at t (addr lsr page_bits) in
-    let slot = (addr land page_mask) lsr 2 in
-    match Array.unsafe_get pg.insns slot with
-    | Some instr ->
-      t.hits <- t.hits + 1;
-      instr
-    | None -> decode_slot t pg ~addr ~slot
-  end
-
-(** {!fetch} in packed form: the counting fetch of the sequential
-    engines. Returns the micro-op as an immediate int; decodes (and caches
-    both forms) on a cold slot. *)
+(** Fetch and decode the instruction at [addr] in packed form, reusing a
+    previous decode of the same (unmodified) word when one exists: the
+    counting fetch of the sequential engines. Returns the micro-op as an
+    immediate int; decodes (and caches both forms) on a cold slot.
+    Misaligned addresses are never cached — they fall through to
+    {!Encode.fetch}, which raises. *)
 let fetch_uop t ~addr =
   if addr land 3 <> 0 then
     Uop.of_instr ~pc:addr (Encode.fetch t.mem ~addr)
@@ -149,7 +136,7 @@ let fetch_uop t ~addr =
       u
     end
     else begin
-      ignore (decode_slot t pg ~addr ~slot);
+      decode_slot t pg ~addr ~slot;
       pg.uops.(slot)
     end
   end
@@ -157,8 +144,7 @@ let fetch_uop t ~addr =
 (** The boxed decode of the word at [addr], without counting as a fetch or
     touching the cache: serves the cached slot when warm, decodes straight
     from memory (uncached, uncounted) when cold. Callers pair it with a
-    counting {!fetch_uop} of the same address, so hit/decode accounting
-    stays identical to a single boxed {!fetch}. *)
+    counting {!fetch_uop} of the same address, so one fetch counts once. *)
 let instr_at t ~addr =
   if addr land 3 <> 0 then Encode.fetch t.mem ~addr
   else begin

@@ -20,7 +20,7 @@ type t = {
   mem : Dts_mem.Memory.t;
   predecode : Predecode.t;
       (** per-state pre-decoded instruction store over [mem]; fetch through
-          it ({!Predecode.fetch}) instead of {!Encode.fetch} on hot paths *)
+          it ({!Predecode.fetch_uop}) instead of {!Encode.fetch} on hot paths *)
   nwindows : int;
   mutable instret : int;  (** retired instruction count *)
   mutable halted : bool;

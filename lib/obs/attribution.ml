@@ -94,7 +94,6 @@ type t = int array
 
 let create () : t = Array.make n_categories 0
 let charge (t : t) cat n = t.(index cat) <- t.(index cat) + n
-let snapshot (t : t) = Array.copy t
 let total (t : t) = Array.fold_left ( + ) 0 t
 
 (* ------------------------------------------------------------------ *)

@@ -41,7 +41,6 @@ type t = int array
 
 val create : unit -> t
 val charge : t -> category -> int -> unit
-val snapshot : t -> int array
 val total : t -> int
 
 val sum_of : int array -> category list -> int

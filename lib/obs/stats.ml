@@ -1,12 +1,13 @@
-(** Run statistics: a mutable collector the machine updates while it runs,
-    and an immutable snapshot record consolidating every counter the
-    simulator maintains — machine, scheduler, VLIW engine, caches and
-    tracer — in one typed value.
+(** Run statistics: one record of every counter the simulator maintains —
+    machine, scheduler, VLIW Engine, caches and tracer.
 
-    The snapshot replaces the loose mutable telemetry fields that used to
-    live directly on [Machine.t]; consumers take a [Machine.stats] snapshot
-    and derive metrics ({!ipc}, {!vliw_cycle_fraction}, {!slot_utilisation})
-    from it instead of poking at machine internals. *)
+    The machine and its VLIW Engine count into one live record while they
+    run; [Machine.stats] returns a copy of it, with the counters kept
+    elsewhere (cycles, the golden instruction count, the caches, the
+    tracer) filled in, and consumers derive metrics ({!ipc},
+    {!vliw_cycle_fraction}, {!slot_utilisation}) from that copy. Adding a
+    counter means adding a field to {!t}, its zero to {!create} and its
+    key to {!to_json}. *)
 
 (** Slot-occupancy classes: the four functional-unit classes plus the
     scheduler-generated copy instructions. *)
@@ -14,105 +15,102 @@ let slot_class_names = [| "int"; "mem"; "fp"; "br"; "copy" |]
 
 let n_slot_classes = Array.length slot_class_names
 
-(** The machine-side mutable accumulator. Owned and updated by
-    [Dts_core.Machine]; read through [Machine.stats] snapshots. *)
-type collector = {
-  attr : Attribution.t;  (** cycle attribution accumulator *)
-  tracer : Trace.t;  (** event tracer ({!Trace.null} when disabled) *)
-  mutable nlp_hits : int;
-  mutable nlp_misses : int;
-  mutable engine_switches : int;
-  mutable blocks_flushed : int;
-  mutable slots_filled : int;
-  mutable slots_total : int;
-  mutable block_lis : int;
-  mutable insert_full : int;
-      (** scheduling-list-full events (the paper's flush-on-full rule) *)
-  mutable pending_high_water : int;
-      (** max blocks simultaneously draining to the VLIW Cache *)
-  mutable plans_compiled : int;
-      (** blocks compiled into execution plans at VLIW-mode entry *)
-  mutable plan_hits : int;
-      (** VLIW-mode entries served by an already-compiled plan *)
-  mutable code_invalidations : int;
-      (** cached blocks dropped because a store hit their code words *)
-  rr_max : int array;
-      (** max renaming registers per kind over all blocks (int/fp/flag/mem) *)
-  slots_by_class : int array;
-      (** filled slots of flushed blocks, indexed like {!slot_class_names} *)
-}
-
-let collector ?(tracer = Trace.null) () =
-  {
-    attr = Attribution.create ();
-    tracer;
-    nlp_hits = 0;
-    nlp_misses = 0;
-    engine_switches = 0;
-    blocks_flushed = 0;
-    slots_filled = 0;
-    slots_total = 0;
-    block_lis = 0;
-    insert_full = 0;
-    pending_high_water = 0;
-    plans_compiled = 0;
-    plan_hits = 0;
-    code_invalidations = 0;
-    rr_max = Array.make 4 0;
-    slots_by_class = Array.make n_slot_classes 0;
-  }
-
-(** One immutable snapshot of everything measured in a run. *)
 type t = {
-  cycles : int;
-  vliw_cycles : int;
-  instructions : int;  (** sequential instructions (golden-machine count) *)
+  mutable cycles : int;
+  mutable vliw_cycles : int;
+  mutable instructions : int;
+      (** sequential instructions (golden-machine count) *)
   attribution : int array;  (** indexed by {!Attribution.index} *)
   (* machine counters *)
-  engine_switches : int;
-  blocks_flushed : int;
-  block_lis : int;
-  slots_filled : int;
-  slots_total : int;
+  mutable engine_switches : int;
+  mutable blocks_flushed : int;
+  mutable block_lis : int;
+  mutable slots_filled : int;
+  mutable slots_total : int;
   slots_by_class : int array;  (** indexed like {!slot_class_names} *)
   rr_max : int array;  (** int, fp, flag, mem *)
-  nlp_hits : int;
-  nlp_misses : int;
-  insert_full : int;
-  pending_high_water : int;
-  syncs : int;  (** test-mode golden synchronisation points *)
+  mutable nlp_hits : int;
+  mutable nlp_misses : int;
+  mutable insert_full : int;
+  mutable pending_high_water : int;
+  mutable syncs : int;  (** test-mode golden synchronisation points *)
   (* block compilation: plans kept in VLIW Cache lines *)
-  plans_compiled : int;
-  plan_hits : int;
-  wdelta_variants : int;
+  mutable plans_compiled : int;
+  mutable plan_hits : int;
+  mutable wdelta_variants : int;
       (** shifted window-delta variants built for compiled plans *)
-  code_invalidations : int;
+  mutable code_invalidations : int;
       (** cached blocks invalidated by stores to their code words *)
   (* VLIW Engine counters *)
-  max_load_list : int;
-  max_store_list : int;
-  max_recovery_list : int;
-  max_data_store_list : int;
-  aliasing_exceptions : int;
-  deferred_exceptions : int;
-  block_exceptions : int;
-  mispredicts : int;
-  lis_executed : int;
-  ops_committed : int;
-  copies_committed : int;
+  mutable max_load_list : int;
+  mutable max_store_list : int;
+  mutable max_recovery_list : int;
+  mutable max_data_store_list : int;
+  mutable aliasing_exceptions : int;
+  mutable deferred_exceptions : int;
+  mutable block_exceptions : int;
+  mutable mispredicts : int;
+  mutable lis_executed : int;
+  mutable ops_committed : int;
+  mutable copies_committed : int;
   (* caches *)
-  icache_hits : int;
-  icache_misses : int;
-  dcache_hits : int;
-  dcache_misses : int;
-  vcache_hits : int;
-  vcache_misses : int;
-  vcache_insertions : int;
-  vcache_evictions : int;
+  mutable icache_hits : int;
+  mutable icache_misses : int;
+  mutable dcache_hits : int;
+  mutable dcache_misses : int;
+  mutable vcache_hits : int;
+  mutable vcache_misses : int;
+  mutable vcache_insertions : int;
+  mutable vcache_evictions : int;
   (* tracer *)
-  trace_emitted : int;
-  trace_dropped : int;
+  mutable trace_emitted : int;
+  mutable trace_dropped : int;
 }
+
+let create () =
+  {
+    cycles = 0;
+    vliw_cycles = 0;
+    instructions = 0;
+    attribution = Attribution.create ();
+    engine_switches = 0;
+    blocks_flushed = 0;
+    block_lis = 0;
+    slots_filled = 0;
+    slots_total = 0;
+    slots_by_class = Array.make n_slot_classes 0;
+    rr_max = Array.make 4 0;
+    nlp_hits = 0;
+    nlp_misses = 0;
+    insert_full = 0;
+    pending_high_water = 0;
+    syncs = 0;
+    plans_compiled = 0;
+    plan_hits = 0;
+    wdelta_variants = 0;
+    code_invalidations = 0;
+    max_load_list = 0;
+    max_store_list = 0;
+    max_recovery_list = 0;
+    max_data_store_list = 0;
+    aliasing_exceptions = 0;
+    deferred_exceptions = 0;
+    block_exceptions = 0;
+    mispredicts = 0;
+    lis_executed = 0;
+    ops_committed = 0;
+    copies_committed = 0;
+    icache_hits = 0;
+    icache_misses = 0;
+    dcache_hits = 0;
+    dcache_misses = 0;
+    vcache_hits = 0;
+    vcache_misses = 0;
+    vcache_insertions = 0;
+    vcache_evictions = 0;
+    trace_emitted = 0;
+    trace_dropped = 0;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Derived metrics                                                      *)

@@ -1,6 +1,6 @@
-(** Run statistics: the machine-side mutable collector and the immutable
-    consolidated snapshot ([Machine.stats]) that consumers derive metrics
-    from instead of reading machine internals. *)
+(** Run statistics: one record of every counter a run maintains. The
+    machine counts into a live record; consumers derive metrics from
+    [Machine.stats] snapshots instead of reading machine internals. *)
 
 val slot_class_names : string array
 (** ["int"; "mem"; "fp"; "br"; "copy"] — the four functional-unit classes
@@ -8,76 +8,62 @@ val slot_class_names : string array
 
 val n_slot_classes : int
 
-(** Mutable accumulator owned by [Dts_core.Machine]; treat as internal and
-    read it through [Machine.stats] snapshots. *)
-type collector = {
-  attr : Attribution.t;
-  tracer : Trace.t;
-  mutable nlp_hits : int;
-  mutable nlp_misses : int;
+(** Every counter of one run. [Dts_core.Machine] creates one record and
+    counts into it, and hands it to its VLIW Engine, which counts into it
+    too. [Machine.stats] returns a copy with the counters kept elsewhere
+    filled in: [cycles], [vliw_cycles], [instructions], the cache and the
+    trace counters. *)
+type t = {
+  mutable cycles : int;
+  mutable vliw_cycles : int;
+  mutable instructions : int;
+      (** sequential instructions (golden-machine count) *)
+  attribution : int array;  (** indexed by {!Attribution.index} *)
   mutable engine_switches : int;
   mutable blocks_flushed : int;
+  mutable block_lis : int;
   mutable slots_filled : int;
   mutable slots_total : int;
-  mutable block_lis : int;
+  slots_by_class : int array;  (** indexed like {!slot_class_names} *)
+  rr_max : int array;
+      (** per-kind renaming-register high water: int, fp, flag, mem *)
+  mutable nlp_hits : int;
+  mutable nlp_misses : int;
   mutable insert_full : int;
       (** scheduling-list-full events (flush-on-full rule) *)
   mutable pending_high_water : int;
       (** max blocks simultaneously draining to the VLIW Cache *)
+  mutable syncs : int;  (** test-mode golden synchronisation points *)
   mutable plans_compiled : int;  (** blocks compiled into execution plans *)
   mutable plan_hits : int;  (** VLIW entries served by a cached plan *)
+  mutable wdelta_variants : int;  (** shifted window-delta plan variants built *)
   mutable code_invalidations : int;
       (** cached blocks dropped by stores hitting their code words *)
-  rr_max : int array;  (** per-kind renaming-register high water *)
-  slots_by_class : int array;  (** indexed like {!slot_class_names} *)
+  mutable max_load_list : int;
+  mutable max_store_list : int;
+  mutable max_recovery_list : int;
+  mutable max_data_store_list : int;
+  mutable aliasing_exceptions : int;
+  mutable deferred_exceptions : int;
+  mutable block_exceptions : int;
+  mutable mispredicts : int;
+  mutable lis_executed : int;
+  mutable ops_committed : int;
+  mutable copies_committed : int;
+  mutable icache_hits : int;
+  mutable icache_misses : int;
+  mutable dcache_hits : int;
+  mutable dcache_misses : int;
+  mutable vcache_hits : int;
+  mutable vcache_misses : int;
+  mutable vcache_insertions : int;
+  mutable vcache_evictions : int;
+  mutable trace_emitted : int;
+  mutable trace_dropped : int;
 }
 
-val collector : ?tracer:Trace.t -> unit -> collector
-
-(** One immutable snapshot of everything measured in a run. *)
-type t = {
-  cycles : int;
-  vliw_cycles : int;
-  instructions : int;  (** sequential instructions (golden-machine count) *)
-  attribution : int array;  (** indexed by {!Attribution.index} *)
-  engine_switches : int;
-  blocks_flushed : int;
-  block_lis : int;
-  slots_filled : int;
-  slots_total : int;
-  slots_by_class : int array;
-  rr_max : int array;  (** int, fp, flag, mem *)
-  nlp_hits : int;
-  nlp_misses : int;
-  insert_full : int;
-  pending_high_water : int;
-  syncs : int;
-  plans_compiled : int;
-  plan_hits : int;
-  wdelta_variants : int;  (** shifted window-delta plan variants built *)
-  code_invalidations : int;
-  max_load_list : int;
-  max_store_list : int;
-  max_recovery_list : int;
-  max_data_store_list : int;
-  aliasing_exceptions : int;
-  deferred_exceptions : int;
-  block_exceptions : int;
-  mispredicts : int;
-  lis_executed : int;
-  ops_committed : int;
-  copies_committed : int;
-  icache_hits : int;
-  icache_misses : int;
-  dcache_hits : int;
-  dcache_misses : int;
-  vcache_hits : int;
-  vcache_misses : int;
-  vcache_insertions : int;
-  vcache_evictions : int;
-  trace_emitted : int;
-  trace_dropped : int;
-}
+val create : unit -> t
+(** A record with every counter at zero. *)
 
 val ipc : t -> float
 (** Sequential instructions / machine cycles — the paper's metric. *)

@@ -22,9 +22,6 @@ type timing = {
   not_taken_branch_bubble : int;  (** Table 1: 3 *)
   load_use_bubble : int;  (** Table 1: 1 *)
   trap_service_cycles : int;  (** window spill/fill microroutine cost *)
-  latencies : Dts_isa.Instr.latencies;
-      (** execute-stage latencies; multicycle instructions occupy the
-          execute stage for extra cycles *)
 }
 
 let default_timing =
@@ -32,7 +29,6 @@ let default_timing =
     not_taken_branch_bubble = 3;
     load_use_bubble = 1;
     trap_service_cycles = 20;
-    latencies = Dts_isa.Instr.unit_latencies;
   }
 
 (** One completed (retired) instruction with everything the Scheduler Unit
@@ -62,6 +58,9 @@ type t = {
   icache : Dts_mem.Cache.t;
   dcache : Dts_mem.Cache.t;
   timing : timing;
+  latencies : Dts_isa.Instr.latencies;
+      (** execute-stage latencies; multicycle instructions occupy the
+          execute stage for extra cycles *)
   buf : Dts_isa.Semantics.outcome_buf;  (** outcome scratch *)
   mutable last_load_p : int;
       (** physical integer destination of the previous instruction if it
@@ -77,12 +76,13 @@ type t = {
   mutable s_dcache_stall : int;
 }
 
-let create ?(timing = default_timing) ~icache ~dcache st =
+let create ?(timing = default_timing) ~latencies ~icache ~dcache st =
   {
     st;
     icache;
     dcache;
     timing;
+    latencies;
     buf = Dts_isa.Semantics.make_buf ();
     last_load_p = -1;
     last_load_f = -1;
@@ -146,7 +146,7 @@ let step_core t =
   if opc = U.u_halt then retire_halt t;
   let icache_stall = Dts_mem.Cache.access t.icache pc in
   (* 1 base cycle + stall + (latency - 1) extra execute cycles *)
-  let cycles = ref (icache_stall + U.latency t.timing.latencies u) in
+  let cycles = ref (icache_stall + U.latency t.latencies u) in
   let b = t.buf in
   Dts_isa.Semantics.exec_into st ~cwp ~pc u b;
   let trapped = b.b_trap <> 0 in

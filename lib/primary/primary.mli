@@ -11,8 +11,6 @@ type timing = {
   not_taken_branch_bubble : int;  (** Table 1: 3 *)
   load_use_bubble : int;  (** Table 1: 1 *)
   trap_service_cycles : int;  (** window spill/fill microroutine cost *)
-  latencies : Dts_isa.Instr.latencies;
-      (** execute-stage latencies of multicycle instructions *)
 }
 
 val default_timing : timing
@@ -44,13 +42,17 @@ type t
 
 val create :
   ?timing:timing ->
+  latencies:Dts_isa.Instr.latencies ->
   icache:Dts_mem.Cache.t ->
   dcache:Dts_mem.Cache.t ->
   Dts_isa.State.t ->
   t
 (** A Primary Processor over a shared architectural state — the DTSVLIW's
     engines share the register file and data cache ports (§3.6). It
-    executes packed micro-ops through {!Dts_isa.Semantics.exec_into}. *)
+    executes packed micro-ops through {!Dts_isa.Semantics.exec_into}; a
+    multicycle instruction occupies the execute stage for its entry in
+    [latencies] (the machine passes the Scheduler Unit's table, a Primary
+    used on its own {!Dts_isa.Instr.unit_latencies}). *)
 
 exception Halted
 

@@ -563,26 +563,6 @@ let finish_block t ~nba_addr : block option =
 (* Introspection / pretty printing (Figure 2 style)                     *)
 (* ------------------------------------------------------------------ *)
 
-let pp_slot_op fmt (op, tag) =
-  match op with
-  | Op s ->
-    Format.fprintf fmt "%s%s%s"
-      (Dts_isa.Disasm.to_string s.instr)
-      (if s.redirect = [] then "" else "*")
-      (if tag > 0 then Printf.sprintf " @%d" tag else "")
-  | Copy c ->
-    let target = function
-      | T_arch p -> Dts_isa.Storage.show p
-      | T_ren r -> Printf.sprintf "rr%s%d" (show_rr_kind r.kind) r.ridx
-    in
-    Format.fprintf fmt "COPY %s%s"
-      (String.concat ","
-         (List.map
-            (fun (r, tgt) ->
-              Printf.sprintf "%s%d->%s" (show_rr_kind r.kind) r.ridx (target tgt))
-            c.c_moves))
-      (if tag > 0 then Printf.sprintf " @%d" tag else "")
-
 let pp fmt t =
   for i = 0 to t.n - 1 do
     let el = element t i in
@@ -594,7 +574,7 @@ let pp fmt t =
     Array.iter
       (fun slot ->
         match slot with
-        | Some s -> Format.fprintf fmt " %a |" pp_slot_op s
+        | Some s -> Format.fprintf fmt " %a |" pp_slot s
         | None -> Format.fprintf fmt " --- |")
       el.e_li.slots;
     (match el.e_cand with

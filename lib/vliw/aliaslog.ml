@@ -57,8 +57,18 @@ type event = {
      bit  62      cross  (the sign bit — extracted with lsr, never asr)
    [pack] range-checks order/li/size so an out-of-range field faults
    loudly instead of aliasing into a neighbour. *)
+
+(** The largest block height the li field encodes (2^11 long
+    instructions). *)
+let max_height = 0x800
+
+(** The largest block (width x height slots) the order field encodes
+    (2^15 program-order positions). *)
+let max_slots = 0x8000
+
 let pack ~addr ~size ~order ~li ~is_store ~cross =
-  if size < 0 || size > 7 || order < 0 || order > 0x7FFF || li < 0 || li > 0x7FF
+  if size < 0 || size > 7 || order < 0 || order >= max_slots || li < 0
+     || li >= max_height
   then invalid_arg "Aliaslog: event field out of packing range";
   addr land 0xFFFFFFFF
   lor (size lsl 32)

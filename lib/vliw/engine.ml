@@ -72,22 +72,6 @@ type shadow = {
   mutable sh_pc : int;
 }
 
-type stats = {
-  mutable max_data_store_list : int;
-  mutable max_load_list : int;
-  mutable max_store_list : int;
-  mutable max_recovery_list : int;
-  mutable aliasing_exceptions : int;
-  mutable deferred_exceptions : int;
-  mutable block_exceptions : int;
-  mutable mispredicts : int;
-  mutable lis_executed : int;
-  mutable ops_committed : int;
-  mutable copies_committed : int;
-  mutable wdelta_variants : int;
-      (** shifted (wdelta <> 0) plan variants compiled (§3.9 replay) *)
-}
-
 type t = {
   st : Dts_isa.State.t;
   dcache : Dts_mem.Cache.t;
@@ -151,7 +135,9 @@ type t = {
           [cur_subs] field above *)
   mutable pen : int;
       (** data-cache penalty cycles of the last {!exec_li} *)
-  stats : stats;
+  stats : Dts_obs.Stats.t;
+      (** the run's counter record, shared with the machine; the engine
+          updates its own counters in it *)
   tracer : Dts_obs.Trace.t;
       (** event sink for rollback/aliasing observability; the machine
           stamps its cycle on it each step *)
@@ -208,7 +194,7 @@ let dsl_read t ~addr ~size ~signed =
   if v = Dts_isa.Semantics.no_val then None else Some v
 
 let create ?(scheme = Checkpoint_recovery) ?(tracer = Dts_obs.Trace.null)
-    ~dcache st =
+    ~stats ~dcache st =
   let t =
     {
       st;
@@ -249,21 +235,7 @@ let create ?(scheme = Checkpoint_recovery) ?(tracer = Dts_obs.Trace.null)
       plan_ov = None;
       pen = 0;
       tracer;
-      stats =
-        {
-          max_data_store_list = 0;
-          max_load_list = 0;
-          max_store_list = 0;
-          max_recovery_list = 0;
-          aliasing_exceptions = 0;
-          deferred_exceptions = 0;
-          block_exceptions = 0;
-          mispredicts = 0;
-          lis_executed = 0;
-          ops_committed = 0;
-          copies_committed = 0;
-          wdelta_variants = 0;
-        };
+      stats;
     }
   in
   t.plan_ov <-

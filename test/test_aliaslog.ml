@@ -150,7 +150,7 @@ let table3_stats name =
       (Dts_core.Config.feasible ())
       name
   in
-  (r.max_load_list, r.max_store_list)
+  (r.stats.max_load_list, r.stats.max_store_list)
 
 let test_table3_list_sizes_compress () =
   let load, store = table3_stats "compress" in

@@ -44,10 +44,11 @@ let test_run_record () =
   check_bool "instructions counted" true (r.instructions >= budget);
   check_bool "ipc positive" true (r.ipc > 0.1);
   check_bool "cycles consistent" true
-    (abs_float (r.ipc -. (float_of_int r.instructions /. float_of_int r.cycles))
+    (abs_float (r.ipc -. (float_of_int r.instructions /. float_of_int r.stats.cycles))
     < 1e-9);
+  let vliw_fraction = Dts_obs.Stats.vliw_cycle_fraction r.stats in
   check_bool "vliw fraction in range" true
-    (r.vliw_fraction >= 0. && r.vliw_fraction <= 1.)
+    (vliw_fraction >= 0. && vliw_fraction <= 1.)
 
 let test_dif_run_record () =
   let r, dif =

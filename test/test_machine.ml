@@ -339,8 +339,6 @@ let test_multicycle_cosim () =
     {
       base with
       sched = { base.sched with latencies = Dts_isa.Instr.multicycle_latencies };
-      primary_timing =
-        { base.primary_timing with latencies = Dts_isa.Instr.multicycle_latencies };
     }
   in
   let m, p, _ =
@@ -401,13 +399,6 @@ let prop_random_config_correct =
           (if store_list then Dts_vliw.Engine.Data_store_list
            else Dts_vliw.Engine.Checkpoint_recovery);
         next_li_prediction = nlp;
-        primary_timing =
-          {
-            base.primary_timing with
-            latencies =
-              (if multicycle then Dts_isa.Instr.multicycle_latencies
-               else Dts_isa.Instr.unit_latencies);
-          };
         memcmp_interval = 16;
       }
   in

@@ -116,7 +116,7 @@ let test_tracer_roundtrip () =
     Dts_experiments.Experiments.run_dtsvliw ~budget
       (Dts_core.Config.feasible ()) "compress"
   in
-  check_int "tracing does not change cycles" r'.cycles r.cycles
+  check_int "tracing does not change cycles" r'.stats.cycles r.stats.cycles
 
 let test_tracer_limit () =
   let buf = Buffer.create 256 in
@@ -198,6 +198,53 @@ let test_breakdown_figure () =
       check_invariant ("breakdown/" ^ r.workload) r.stats)
     fig.Dts_experiments.Experiments.rows
 
+(* [Machine.stats] returns a copy: neither mutating one snapshot nor
+   running the machine on may show in another. *)
+let compress_machine () =
+  Dts_core.Machine.create (Dts_core.Config.feasible ())
+    (Dts_workloads.Workloads.program ~scale:1
+       (Dts_workloads.Workloads.find "compress"))
+
+let test_snapshot_mutation_isolated () =
+  let m = compress_machine () in
+  ignore (Dts_core.Machine.run ~max_instructions:budget m);
+  let s = Dts_core.Machine.stats m in
+  let cycles = s.cycles
+  and attribution = Array.copy s.attribution
+  and rr_max = Array.copy s.rr_max
+  and slots_by_class = Array.copy s.slots_by_class in
+  s.cycles <- s.cycles + 1;
+  List.iter
+    (fun a -> Array.fill a 0 (Array.length a) (-1))
+    [ s.attribution; s.rr_max; s.slots_by_class ];
+  let s' = Dts_core.Machine.stats m in
+  check_int "cycles" cycles s'.cycles;
+  check_bool "attribution" true (s'.attribution = attribution);
+  check_bool "rr_max" true (s'.rr_max = rr_max);
+  check_bool "slots_by_class" true (s'.slots_by_class = slots_by_class)
+
+let test_snapshot_frozen_as_machine_runs () =
+  let m = compress_machine () in
+  (* stop early, while compress is still building blocks *)
+  ignore (Dts_core.Machine.run ~max_instructions:100 m);
+  let s = Dts_core.Machine.stats m in
+  let cycles = s.cycles
+  and syncs = s.syncs
+  and ops = s.ops_committed
+  and attribution = Array.copy s.attribution
+  and slots_by_class = Array.copy s.slots_by_class in
+  ignore (Dts_core.Machine.run ~max_instructions:(4 * budget) m);
+  let later = Dts_core.Machine.stats m in
+  check_bool "the machine ran on" true
+    (later.cycles > cycles && later.ops_committed > ops
+    && later.attribution <> attribution
+    && later.slots_by_class <> slots_by_class);
+  check_int "cycles" cycles s.cycles;
+  check_int "syncs" syncs s.syncs;
+  check_int "ops_committed" ops s.ops_committed;
+  check_bool "attribution" true (s.attribution = attribution);
+  check_bool "slots_by_class" true (s.slots_by_class = slots_by_class)
+
 let suite =
   [
     Alcotest.test_case "attribution invariant: workloads x {ideal, feasible, dif}"
@@ -209,4 +256,8 @@ let suite =
     Alcotest.test_case "stats JSON round-trip" `Quick test_stats_json_roundtrip;
     Alcotest.test_case "json parser" `Quick test_json_parser;
     Alcotest.test_case "breakdown figure" `Quick test_breakdown_figure;
+    Alcotest.test_case "stats snapshot: mutation does not leak" `Quick
+      test_snapshot_mutation_isolated;
+    Alcotest.test_case "stats snapshot: frozen as the machine runs" `Quick
+      test_snapshot_frozen_as_machine_runs;
   ]

@@ -1,4 +1,5 @@
-(* The pre-decoded instruction store: hit/decode accounting, invalidation on
+(* The pre-decoded instruction store: hit/decode accounting of the counting
+   [fetch_uop] (its decode read back through [instr_at]), invalidation on
    overlapping writes, and end-to-end self-modifying code on the golden
    machine (a store over an already-executed code address must be fetched as
    the new instruction). *)
@@ -15,9 +16,11 @@ let test_fetch_caches () =
   let pd = Predecode.create mem in
   let a = 0x1000 in
   Dts_mem.Memory.write_u32 mem a (Encode.encode ~pc:a (add_imm ~rs1:8 ~imm:1 ~rd:8));
-  let i1 = Predecode.fetch pd ~addr:a in
-  let i2 = Predecode.fetch pd ~addr:a in
-  Alcotest.check Alcotest.bool "same decode" true (Instr.equal i1 i2);
+  let u1 = Predecode.fetch_uop pd ~addr:a in
+  let u2 = Predecode.fetch_uop pd ~addr:a in
+  check_int "same micro-op" u1 u2;
+  Alcotest.check Alcotest.bool "same decode" true
+    (Instr.equal (Predecode.instr_at pd ~addr:a) (add_imm ~rs1:8 ~imm:1 ~rd:8));
   check_int "one decode" 1 (Predecode.decodes pd);
   check_int "one hit" 1 (Predecode.hits pd)
 
@@ -26,12 +29,13 @@ let test_word_write_invalidates () =
   let pd = Predecode.create mem in
   let a = 0x1000 in
   Dts_mem.Memory.write_u32 mem a (Encode.encode ~pc:a (add_imm ~rs1:8 ~imm:1 ~rd:8));
-  ignore (Predecode.fetch pd ~addr:a);
+  ignore (Predecode.fetch_uop pd ~addr:a);
   (* overwrite through the ordinary store path *)
   Dts_mem.Memory.write mem ~addr:a ~size:4
     (Encode.encode ~pc:a (add_imm ~rs1:8 ~imm:42 ~rd:8));
   check_int "invalidated" 1 (Predecode.invalidations pd);
-  (match Predecode.fetch pd ~addr:a with
+  ignore (Predecode.fetch_uop pd ~addr:a);
+  (match Predecode.instr_at pd ~addr:a with
   | Instr.Alu { op2 = Instr.Imm 42; _ } -> ()
   | i -> Alcotest.failf "stale decode survived: %s" (Disasm.to_string i));
   check_int "re-decoded" 2 (Predecode.decodes pd)
@@ -41,7 +45,7 @@ let test_byte_write_invalidates_containing_word () =
   let pd = Predecode.create mem in
   let a = 0x2000 in
   Dts_mem.Memory.write_u32 mem a (Encode.encode ~pc:a (add_imm ~rs1:8 ~imm:1 ~rd:8));
-  ignore (Predecode.fetch pd ~addr:a);
+  ignore (Predecode.fetch_uop pd ~addr:a);
   (* a one-byte store into the middle of the cached word *)
   Dts_mem.Memory.write mem ~addr:(a + 2) ~size:1 0x7F;
   check_int "byte store invalidates its word" 1 (Predecode.invalidations pd)
@@ -51,12 +55,12 @@ let test_unrelated_write_is_free () =
   let pd = Predecode.create mem in
   let a = 0x1000 in
   Dts_mem.Memory.write_u32 mem a (Encode.encode ~pc:a (add_imm ~rs1:8 ~imm:1 ~rd:8));
-  ignore (Predecode.fetch pd ~addr:a);
+  ignore (Predecode.fetch_uop pd ~addr:a);
   (* data stores elsewhere (even in the same page) invalidate nothing *)
   Dts_mem.Memory.write mem ~addr:0x1abc ~size:4 0xdeadbeef;
   Dts_mem.Memory.write mem ~addr:0x9000 ~size:2 7;
   check_int "no invalidations" 0 (Predecode.invalidations pd);
-  ignore (Predecode.fetch pd ~addr:a);
+  ignore (Predecode.fetch_uop pd ~addr:a);
   check_int "still cached" 1 (Predecode.hits pd)
 
 (* End-to-end: a program patches one of its own instructions after having
@@ -106,12 +110,12 @@ let test_memory_copy_resets_source_predecode () =
   let pd = Predecode.create mem in
   let a = 0x3000 in
   Dts_mem.Memory.write_u32 mem a (Encode.encode ~pc:a (add_imm ~rs1:8 ~imm:1 ~rd:8));
-  ignore (Predecode.fetch pd ~addr:a);
+  ignore (Predecode.fetch_uop pd ~addr:a);
   check_int "primed" 1 (Predecode.decodes pd);
   let snapshot = Dts_mem.Memory.copy mem in
   (* the copy fired the reset hooks: the next fetch re-decodes instead of
      trusting state that the snapshot no longer observes *)
-  ignore (Predecode.fetch pd ~addr:a);
+  ignore (Predecode.fetch_uop pd ~addr:a);
   check_int "re-decoded after copy" 2 (Predecode.decodes pd);
   (* and the copy's hook lists are independent: writes into the snapshot
      never touch the original's predecode *)
@@ -122,7 +126,8 @@ let test_memory_copy_resets_source_predecode () =
     (Encode.encode ~pc:a (add_imm ~rs1:8 ~imm:7 ~rd:8));
   check_int "original still sees its own writes" (inv_before + 1)
     (Predecode.invalidations pd);
-  (match Predecode.fetch pd ~addr:a with
+  ignore (Predecode.fetch_uop pd ~addr:a);
+  (match Predecode.instr_at pd ~addr:a with
   | Instr.Alu { op2 = Instr.Imm 7; _ } -> ()
   | i -> Alcotest.failf "copy's write leaked into the source: %s"
            (Disasm.to_string i))
@@ -132,7 +137,7 @@ let test_memory_copy_hooks_do_not_fire_on_copy_writes () =
   let pd = Predecode.create mem in
   let a = 0x4000 in
   Dts_mem.Memory.write_u32 mem a (Encode.encode ~pc:a (add_imm ~rs1:8 ~imm:1 ~rd:8));
-  ignore (Predecode.fetch pd ~addr:a);
+  ignore (Predecode.fetch_uop pd ~addr:a);
   let snapshot = Dts_mem.Memory.copy mem in
   let inv = Predecode.invalidations pd in
   Dts_mem.Memory.write snapshot ~addr:a ~size:1 0xFF;

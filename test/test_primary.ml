@@ -3,12 +3,13 @@
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let latencies = Dts_isa.Instr.unit_latencies
 
 let build ?(icache = Dts_mem.Cache.perfect ()) ?(dcache = Dts_mem.Cache.perfect ())
     src =
   let program = Dts_asm.Assembler.assemble src in
   let st = Dts_asm.Program.boot program in
-  (Dts_primary.Primary.create ~icache ~dcache st, st)
+  (Dts_primary.Primary.create ~latencies ~icache ~dcache st, st)
 
 let run_all p =
   let cycles = ref 0 and retired = ref 0 in
@@ -209,7 +210,7 @@ let boot_pair ~nwindows src =
   let pst = Dts_asm.Program.boot ~nwindows program in
   let g = Dts_golden.Golden.of_state gst in
   let p =
-    Dts_primary.Primary.create
+    Dts_primary.Primary.create ~latencies
       ~icache:(Dts_mem.Cache.perfect ())
       ~dcache:(Dts_mem.Cache.perfect ())
       pst
@@ -297,7 +298,8 @@ start:  mov 1, %o0
   let program = Dts_asm.Assembler.assemble src in
   let st = Dts_asm.Program.boot program in
   let p =
-    Dts_primary.Primary.create ~icache ~dcache:(Dts_mem.Cache.perfect ()) st
+    Dts_primary.Primary.create ~latencies ~icache
+      ~dcache:(Dts_mem.Cache.perfect ()) st
   in
   let cycles = ref 0 and retired = ref 0 in
   (try
@@ -402,7 +404,7 @@ let prop_load_use_bubble =
         (Dts_isa.Encode.encode ~pc:Test_isa.exec_pc consumer);
       st.pc <- pc;
       let primary st =
-        P.create ~icache:(Dts_mem.Cache.perfect ())
+        P.create ~latencies ~icache:(Dts_mem.Cache.perfect ())
           ~dcache:(Dts_mem.Cache.perfect ()) st
       in
       let p = primary st in

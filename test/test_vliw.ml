@@ -56,7 +56,7 @@ let block_of ?(tag_addr = 0x1000) ?(entry_cwp = 0) ?(rr = [| 8; 8; 8; 8 |])
 let fresh_engine ?(nwindows = 8) () =
   let st = Dts_isa.State.create ~nwindows () in
   let dcache = Dts_mem.Cache.perfect () in
-  (st, Dts_vliw.Engine.create ~dcache st)
+  (st, Dts_vliw.Engine.create ~stats:(Dts_obs.Stats.create ()) ~dcache st)
 
 let alu ?(cc = false) op rs1 op2 rd =
   Dts_isa.Instr.Alu { op; cc; rs1; op2; rd }
@@ -106,6 +106,32 @@ let test_renamed_write_and_copy () =
   check_int "arch r2 untouched after renamed write" 0 (vis st 2);
   ignore (Dts_vliw.Engine.exec_li e b 1);
   check_int "copy committed" 6 (vis st 2)
+
+(* The engine keeps no counters of its own: it counts into the record it
+   was created with, the one the machine snapshots. *)
+let test_counts_into_given_stats () =
+  let st = Dts_isa.State.create ~nwindows:8 () in
+  let stats = Dts_obs.Stats.create () in
+  let e =
+    Dts_vliw.Engine.create ~stats ~dcache:(Dts_mem.Cache.perfect ()) st
+  in
+  let p2 = Dts_isa.State.phys ~nwindows:8 ~cwp:0 2 in
+  let rr = { kind = K_int; ridx = 0 } in
+  let op =
+    sop ~addr:0x1000 (alu Add 1 (Imm 1) 2)
+      ~redirect:[ (Dts_isa.Storage.Int_reg p2, rr) ]
+  in
+  let copy =
+    Copy { c_moves = [ (rr, T_arch (Dts_isa.Storage.Int_reg p2)) ]; c_order = -1; c_from = 0 }
+  in
+  let b = block_of [ li_of [ (Op op, 0) ]; li_of [ (copy, 0) ] ] in
+  Dts_vliw.Engine.enter_block e b;
+  ignore (Dts_vliw.Engine.exec_li e b 0);
+  ignore (Dts_vliw.Engine.exec_li e b 1);
+  check_bool "the engine holds the given record" true (e.stats == stats);
+  check_int "lis_executed" 2 stats.lis_executed;
+  check_int "ops_committed" 1 stats.ops_committed;
+  check_int "copies_committed" 1 stats.copies_committed
 
 let test_forwarded_source () =
   let st, e = fresh_engine () in
@@ -322,6 +348,8 @@ let suite =
       test_parallel_reads_pre_state;
     Alcotest.test_case "renamed write + copy" `Quick test_renamed_write_and_copy;
     Alcotest.test_case "forwarded source" `Quick test_forwarded_source;
+    Alcotest.test_case "counts into the given stats" `Quick
+      test_counts_into_given_stats;
     Alcotest.test_case "correct prediction commits gated ops" `Quick
       test_correct_prediction_commits_gated_ops;
     Alcotest.test_case "mispredict annuls gated ops" `Quick
