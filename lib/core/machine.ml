@@ -165,14 +165,14 @@ let create ?(compile = true) ?scheduler ?(tracer = Trace.null) cfg program =
       icache;
       dcache;
       compile;
-      code_index = Hashtbl.create 1024;
+      code_index = Hashtbl.create 16;
       mode = M_primary;
       vmode = M_primary;
       cycles = 0;
       vliw_cycles = 0;
       exception_mode = false;
       pending_blocks = Queue.create ();
-      next_li_predictor = Hashtbl.create 256;
+      next_li_predictor = Hashtbl.create 16;
       halted = false;
       obs;
       tracer;

@@ -4,6 +4,10 @@ type 'a entry = {
   mutable stamp : int;
 }
 
+(* A set's ways are allocated by its first {!insert}: until then it is
+   [[||]], which every reader treats as a set of invalid ways. A run that
+   installs a few blocks in a multi-megabyte cache pays for those sets
+   only. *)
 type 'a t = {
   sets : 'a entry array array;
   n_sets : int;
@@ -22,12 +26,8 @@ type 'a t = {
 let create ~n_sets ~assoc =
   if n_sets <= 0 || n_sets land (n_sets - 1) <> 0 then
     invalid_arg "Blockcache.create: n_sets must be a power of two";
-  let sets =
-    Array.init n_sets (fun _ ->
-        Array.init assoc (fun _ -> { key = 0; payload = None; stamp = 0 }))
-  in
   {
-    sets;
+    sets = Array.make n_sets [||];
     n_sets;
     assoc;
     clock = 0;
@@ -45,7 +45,8 @@ let dropped t key payload =
 
 (* Blocks are tagged with the word-aligned SPARC-style address of their
    first instruction, so index on addr/4. *)
-let set_of t addr = t.sets.((addr lsr 2) land (t.n_sets - 1))
+let set_index t addr = (addr lsr 2) land (t.n_sets - 1)
+let set_of t addr = t.sets.(set_index t addr)
 
 (* Allocation-free lookup: an index loop (no iter closure, no ref) that
    returns the resident [Some] box itself rather than re-wrapping it. *)
@@ -75,7 +76,11 @@ let probe t addr =
 let insert t addr block =
   t.clock <- t.clock + 1;
   t.insertions <- t.insertions + 1;
-  let ways = set_of t addr in
+  let i = set_index t addr in
+  if Array.length t.sets.(i) = 0 then
+    t.sets.(i) <-
+      Array.init t.assoc (fun _ -> { key = 0; payload = None; stamp = 0 });
+  let ways = t.sets.(i) in
   let slot = ref None in
   (* reuse an entry with the same key, else an empty way, else LRU victim *)
   Array.iter

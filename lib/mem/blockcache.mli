@@ -4,12 +4,18 @@
     This is the organisational skeleton shared by the paper's VLIW Cache
     (§3.4) and the DIF cache (§3.12): a cache whose "line" payload is a whole
     block of long instructions (['a]). Replacement is true LRU within a
-    set. *)
+    set.
+
+    A set's ways are allocated on its first {!insert}; {!create} allocates
+    only the [n_sets]-entry spine. A fresh multi-megabyte VLIW Cache thus
+    costs a few thousand words however large its geometry, and a short run
+    pays only for the sets it fills. Lookups, invalidation and {!iter} see
+    a never-filled set as a set of invalid ways. *)
 
 type 'a t
 
 val create : n_sets:int -> assoc:int -> 'a t
-(** [n_sets] must be a power of two. *)
+(** [n_sets] must be a power of two. No way is allocated yet. *)
 
 val find : 'a t -> int -> 'a option
 (** Probe with an ISA address; touches LRU state on a hit. *)

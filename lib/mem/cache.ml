@@ -1,12 +1,16 @@
-type way = { mutable tag : int; mutable valid : bool; mutable stamp : int }
-
+(* The ways are two flat int arrays indexed [set * assoc + way]: a fresh
+   cache is two [Array.make] blocks, not one record per way, and a fill
+   allocates nothing. A tag of -1 marks an invalid way (real tags are
+   non-negative). Lines are never invalidated, so an invalid way still has
+   its initial stamp 0, below every stamp a fill or hit writes (the clock
+   is advanced first): the first way of least stamp is therefore the first
+   invalid way if there is one, else the true-LRU way. *)
 type t = {
-  sets : way array array; (* [n_sets][assoc]; empty for a perfect cache *)
+  tags : int array; (* empty for a perfect cache *)
+  stamps : int array;
   n_sets : int;
   line_bits : int;
   miss_penalty : int;
-  size_bytes : int;
-  line_bytes : int;
   assoc : int;
   mutable clock : int;
   mutable hits : int;
@@ -23,17 +27,12 @@ let create ~size_bytes ~line_bytes ~assoc ~miss_penalty =
   if size_bytes mod (line_bytes * assoc) <> 0 then
     invalid_arg "Cache.create: size not a multiple of line_bytes * assoc";
   let n_sets = size_bytes / (line_bytes * assoc) in
-  let sets =
-    Array.init n_sets (fun _ ->
-        Array.init assoc (fun _ -> { tag = 0; valid = false; stamp = 0 }))
-  in
   {
-    sets;
+    tags = Array.make (n_sets * assoc) (-1);
+    stamps = Array.make (n_sets * assoc) 0;
     n_sets;
     line_bits = log2_exact line_bytes;
     miss_penalty;
-    size_bytes;
-    line_bytes;
     assoc;
     clock = 0;
     hits = 0;
@@ -42,48 +41,37 @@ let create ~size_bytes ~line_bytes ~assoc ~miss_penalty =
 
 let perfect () =
   {
-    sets = [||];
+    tags = [||];
+    stamps = [||];
     n_sets = 0;
     line_bits = 0;
     miss_penalty = 0;
-    size_bytes = 0;
-    line_bytes = 0;
     assoc = 0;
     clock = 0;
     hits = 0;
     misses = 0;
   }
 
-let is_perfect c = Array.length c.sets = 0
-
-let locate c addr =
-  let line = addr lsr c.line_bits in
-  let set = line mod c.n_sets in
-  let tag = line / c.n_sets in
-  (c.sets.(set), tag)
+let is_perfect c = c.n_sets = 0
 
 (* Allocation-free access: top-level index loops instead of [Array.iter]
    closures or local recursion (a fresh closure per call under the vanilla
-   compiler), and no [locate] tuple. *)
-let rec find_way ways tag i n =
+   compiler), and no (set, tag) tuple. The [int] annotations matter: left
+   polymorphic, [=] and [<] compile to calls to the generic comparison,
+   which would dominate the cost of an access. *)
+let rec find_way (tags : int array) (tag : int) i n =
   if i >= n then -1
-  else
-    let w = Array.unsafe_get ways i in
-    if w.valid && w.tag = tag then i else find_way ways tag (i + 1) n
+  else if Array.unsafe_get tags i = tag then i
+  else find_way tags tag (i + 1) n
 
-(* replace an invalid way if any, else true-LRU by stamp; starting the scan
-   at 1 with best = 0 is the identity first iteration of the original
-   [Array.iter] pass *)
-let rec pick_victim ways i best n =
+(* the first way of least stamp: the first invalid way, else true LRU *)
+let rec pick_victim (stamps : int array) i best n =
   if i >= n then best
   else
-    let w = Array.unsafe_get ways i and b = Array.unsafe_get ways best in
-    let best =
-      if not w.valid then (if b.valid then i else best)
-      else if b.valid && w.stamp < b.stamp then i
-      else best
-    in
-    pick_victim ways (i + 1) best n
+    pick_victim stamps (i + 1)
+      (if Array.unsafe_get stamps i < Array.unsafe_get stamps best then i
+       else best)
+      n
 
 let access c addr =
   if is_perfect c then (
@@ -92,31 +80,30 @@ let access c addr =
   else begin
     c.clock <- c.clock + 1;
     let line = addr lsr c.line_bits in
-    let set = line mod c.n_sets in
+    let base = line mod c.n_sets * c.assoc in
     let tag = line / c.n_sets in
-    let ways = c.sets.(set) in
-    let n = Array.length ways in
-    let h = find_way ways tag 0 n in
+    let n = base + c.assoc in
+    let h = find_way c.tags tag base n in
     if h >= 0 then begin
-      ways.(h).stamp <- c.clock;
+      c.stamps.(h) <- c.clock;
       c.hits <- c.hits + 1;
       0
     end
     else begin
       c.misses <- c.misses + 1;
-      let victim = ways.(pick_victim ways 1 0 n) in
-      victim.tag <- tag;
-      victim.valid <- true;
-      victim.stamp <- c.clock;
+      let v = pick_victim c.stamps (base + 1) base n in
+      c.tags.(v) <- tag;
+      c.stamps.(v) <- c.clock;
       c.miss_penalty
     end
   end
 
 let probe c addr =
-  if is_perfect c then true
-  else
-    let ways, tag = locate c addr in
-    Array.exists (fun w -> w.valid && w.tag = tag) ways
+  is_perfect c
+  ||
+  let line = addr lsr c.line_bits in
+  let base = line mod c.n_sets * c.assoc in
+  find_way c.tags (line / c.n_sets) base (base + c.assoc) >= 0
 
 let hits c = c.hits
 let misses c = c.misses

@@ -464,7 +464,7 @@ let schedule ?(node_budget = default_node_budget) g (m : model) =
       let expanded = ref 0 in
       let truncated = ref false in
       let cut_min = ref max_int in
-      let memo : (string, int) Hashtbl.t = Hashtbl.create 4096 in
+      let memo : (string, int) Hashtbl.t = Hashtbl.create 64 in
       let order = Array.init n Fun.id in
       Array.sort
         (fun a b ->

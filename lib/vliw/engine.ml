@@ -93,15 +93,16 @@ type t = {
   mutable rec_size : int array;
   mutable rec_old : int array;
   mutable n_recovery : int;
-  mutable dsl_mem : Dts_mem.Memory.t;  (** data-store-list byte buffer *)
   (* buffered store ranges (addr, size, order) as parallel arrays *)
   mutable dsl_addr : int array;
   mutable dsl_size : int array;
   mutable dsl_order : int array;
   mutable dsl_n : int;
-  dsl_bytes : (int, unit) Hashtbl.t;
-      (** byte addresses covered by the data store list — loads probe this
-          instead of scanning every buffered range per byte *)
+  dsl_bytes : (int, int) Hashtbl.t;
+      (** byte address -> last byte value buffered in the data store list;
+          loads and the commit drain read the buffered data here, and a
+          load probes it instead of scanning every buffered range per
+          byte *)
   mem_log : Aliaslog.t;  (** per-block aliasing log (§3.10), bucketed *)
   mutable wdelta : int;
       (** window-relative replay: runtime entry cwp minus build-time entry
@@ -177,7 +178,7 @@ let dsl_read_fast t ~addr ~size ~signed =
       let v = ref 0 in
       for b = addr to addr + size - 1 do
         let byte =
-          if Hashtbl.mem t.dsl_bytes b then Dts_mem.Memory.read_u8 t.dsl_mem b
+          if Hashtbl.mem t.dsl_bytes b then Hashtbl.find t.dsl_bytes b
           else Dts_mem.Memory.read_u8 t.st.mem b
         in
         v := (!v lsl 8) lor byte
@@ -211,7 +212,6 @@ let create ?(scheme = Checkpoint_recovery) ?(tracer = Dts_obs.Trace.null)
       rec_size = [||];
       rec_old = [||];
       n_recovery = 0;
-      dsl_mem = Dts_mem.Memory.create ();
       dsl_addr = [||];
       dsl_size = [||];
       dsl_order = [||];
@@ -311,7 +311,7 @@ let push_recovery t addr size old =
   t.rec_old.(t.n_recovery) <- old;
   t.n_recovery <- t.n_recovery + 1
 
-let push_dsl t addr size order =
+let push_dsl t addr size v order =
   if t.dsl_n >= Array.length t.dsl_addr then begin
     t.dsl_addr <- grown t.dsl_addr 1;
     t.dsl_size <- grown t.dsl_size 1;
@@ -321,20 +321,23 @@ let push_dsl t addr size order =
   t.dsl_size.(t.dsl_n) <- size;
   t.dsl_order.(t.dsl_n) <- order;
   t.dsl_n <- t.dsl_n + 1;
-  for b = addr to addr + size - 1 do
-    Hashtbl.replace t.dsl_bytes b ()
+  (* big-endian, as {!Dts_mem.Memory.write} lays the low [size] bytes out *)
+  for k = 0 to size - 1 do
+    Hashtbl.replace t.dsl_bytes (addr + k)
+      ((v lsr (8 * (size - 1 - k))) land 0xFF)
   done
 
-(* The data-store-list buffer is recycled, not reallocated: zero exactly
-   the (addr, size) entries recorded this block — typically a few words —
-   so the reset cost tracks the block's store count, not the buffer's page
-   footprint. *)
+(* the buffered value of a whole range, zero-extended; every byte of it
+   must be in the list *)
+let dsl_range t addr size =
+  let v = ref 0 in
+  for b = addr to addr + size - 1 do
+    v := (!v lsl 8) lor Hashtbl.find t.dsl_bytes b
+  done;
+  !v
+
 let clear_dsl t =
   if t.dsl_n > 0 then begin
-    for i = 0 to t.dsl_n - 1 do
-      Dts_mem.Memory.write t.dsl_mem ~addr:t.dsl_addr.(i) ~size:t.dsl_size.(i)
-        0
-    done;
     Hashtbl.reset t.dsl_bytes;
     t.dsl_n <- 0
   end
@@ -518,8 +521,7 @@ let apply_buffered t =
     | Data_store_list ->
       (* buffer in the data store list; memory is untouched until the
          block commits *)
-      Dts_mem.Memory.write t.dsl_mem ~addr ~size v;
-      push_dsl t addr size t.bs_order.(i);
+      push_dsl t addr size v t.bs_order.(i);
       t.stats.max_data_store_list <-
         max t.stats.max_data_store_list t.dsl_n
   done;
@@ -919,8 +921,7 @@ let commit_block t =
       (fun i ->
         let addr = t.dsl_addr.(i) and size = t.dsl_size.(i) in
         penalty := !penalty + Dts_mem.Cache.access t.dcache addr;
-        Dts_mem.Memory.write t.st.mem ~addr ~size
-          (Dts_mem.Memory.read t.dsl_mem ~addr ~size ~signed:false))
+        Dts_mem.Memory.write t.st.mem ~addr ~size (dsl_range t addr size))
       idxs;
     clear_dsl t;
     !penalty

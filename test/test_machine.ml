@@ -299,6 +299,151 @@ let test_data_store_list_scheme () =
   check_bool "data store list used" true
     (m.engine.stats.max_data_store_list > 0)
 
+(* Sub-word stores under the data-store-list scheme: inside one block, a
+   byte and a halfword store land in a word the block already stored, and
+   a byte store lands in a word that is otherwise only in memory. Loads of
+   both words then mix bytes from several buffered stores, or buffered and
+   memory bytes. With [alias], a store through a roving index can hit
+   a word a hoisted load already read: the block then raises an aliasing
+   exception and is rolled back with sub-word data in its list. *)
+let subword_store_list_asm ~alias =
+  Printf.sprintf
+    {|
+        .data
+buf:    .word 0x11223344, 0x55667788, 0x99aabbcc, 0, 0, 0
+idx:    .word 0
+        .text
+start:  set   buf, %%o1
+        set   idx, %%l1
+        mov   0, %%o0           ! checksum
+        mov   0, %%o2           ! i
+        set   300, %%l0
+loop:   add   %%o2, 0x5a, %%o3
+        st    %%o2, [%%o1]      ! word x = i
+        stb   %%o3, [%%o1+1]    ! byte 1 of the buffered word x
+        sth   %%o3, [%%o1+2]    ! halfword 2-3 of the buffered word x
+        stb   %%o2, [%%o1+5]    ! byte 5 of y: bytes 4, 6, 7 stay in memory
+%s
+        ld    [%%o1], %%o4      ! x: three buffered stores
+        add   %%o0, %%o4, %%o0
+        ld    [%%o1+4], %%o4    ! y: one buffered byte among three memory bytes
+        xor   %%o0, %%o4, %%o0
+        ldsb  [%%o1+1], %%o4
+        add   %%o0, %%o4, %%o0
+        lduh  [%%o1+4], %%o4    ! a memory byte and a buffered byte
+        add   %%o0, %%o4, %%o0
+        ldsh  [%%o1+2], %%o4
+        add   %%o0, %%o4, %%o0
+        ld    [%%o1+8], %%o4
+        add   %%o0, %%o4, %%o0
+        sth   %%o0, [%%o1+6]    ! y's memory half changes every iteration
+        add   %%o2, 1, %%o2
+        cmp   %%o2, %%l0
+        bl    loop
+        st    %%o0, [%%o1+20]
+        halt
+|}
+    (if alias then
+       {|        ld    [%l1], %o5        ! LCG state 0..15
+        srl   %o5, 2, %l2
+        sll   %l2, 2, %l2       ! roving word 0..3: its top two bits
+        stb   %o3, [%o1+%l2]    ! may hit a word behind a hoisted load
+        sll   %o5, 2, %l3
+        add   %o5, %l3, %o5
+        add   %o5, 1, %o5
+        and   %o5, 15, %o5      ! state := (5 * state + 1) mod 16
+        st    %o5, [%l1]|}
+     else "")
+
+let test_store_list_subword ~alias () =
+  (* 16 long instructions hold an iteration's stores and loads in one
+     block, so the roving store can trail a load hoisted above it *)
+  let cfg =
+    {
+      (Dts_core.Config.ideal ~height:16 ()) with
+      store_scheme = Dts_vliw.Engine.Data_store_list;
+    }
+  in
+  let program = Dts_asm.Assembler.assemble (subword_store_list_asm ~alias) in
+  let run compile =
+    let what = if compile then "compiled" else "interpreted" in
+    let trace = Buffer.create 4096 in
+    let tracer = Dts_obs.Trace.to_buffer trace in
+    (* test mode: the golden machine checks every block boundary *)
+    let m = Dts_core.Machine.create ~compile ~tracer cfg program in
+    ignore (Dts_core.Machine.run m);
+    check_bool (what ^ ": ran in VLIW mode") true (m.vliw_cycles > 0);
+    check_bool (what ^ ": buffered several stores") true
+      (m.engine.stats.max_data_store_list >= 4);
+    if alias then begin
+      (* a rollback's [undone] counts the data store list it annulled *)
+      let annulled =
+        String.split_on_char '\n' (Buffer.contents trace)
+        |> List.filter_map (fun line ->
+               if line = "" then None
+               else
+                 match Dts_obs.Trace.parse_line line with
+                 | _, "checkpoint_recovery", j ->
+                   Option.bind (Dts_obs.Json.member "undone" j)
+                     Dts_obs.Json.to_int
+                 | _ -> None)
+      in
+      check_bool (what ^ ": rolled back a block with buffered stores") true
+        (List.exists (fun n -> n > 0) annulled)
+    end;
+    Dts_mem.Memory.read m.st.mem
+      ~addr:(Dts_asm.Program.symbol program "buf" + 20)
+      ~size:4 ~signed:true
+  in
+  check_int "compiled and interpreted engines agree" (run false) (run true)
+
+(* Creating a machine must cost a bounded, geometry-independent number of
+   words: cache ways are allocated on first use, so a multi-megabyte VLIW
+   Cache costs only its set spine until blocks are installed. Total words
+   allocated (minor + major - promoted) are deterministic, so this fails on
+   a count, not a timing. Each count starts from a full major collection:
+   after the rest of the suite has run, a collection falling inside the
+   window was seen to add ~100k minor words the creation did not
+   allocate. *)
+let test_setup_allocation_bound () =
+  let program = Dts_asm.Assembler.assemble (vector_sum_asm 100) in
+  let bound = 40_000. in
+  let words f =
+    Gc.full_major ();
+    let minor0, promoted0, major0 = Gc.counters () in
+    f ();
+    let minor1, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  List.iter
+    (fun (name, create) ->
+      (* the first creation also pays one-off module initialisation *)
+      create ();
+      let w = words create in
+      check_bool
+        (Printf.sprintf "%s: %.0f words allocated, bound %.0f" name w bound)
+        true (w <= bound))
+    [
+      ( "ideal",
+        fun () ->
+          ignore
+            (Sys.opaque_identity
+               (Dts_core.Machine.create (Dts_core.Config.ideal ()) program)) );
+      ( "feasible",
+        fun () ->
+          ignore
+            (Sys.opaque_identity
+               (Dts_core.Machine.create (Dts_core.Config.feasible ()) program))
+      );
+      ( "dif",
+        fun () ->
+          ignore
+            (Sys.opaque_identity
+               (Dts_dif.Dif.machine
+                  ~machine_cfg:(Dts_dif.Dif.fig9_machine_cfg ())
+                  program)) );
+    ]
+
 let test_schemes_agree () =
   let src = vector_sum_asm 300 in
   let run scheme =
@@ -438,6 +583,12 @@ let suite =
     Alcotest.test_case "data store list scheme" `Quick
       test_data_store_list_scheme;
     Alcotest.test_case "store schemes agree" `Quick test_schemes_agree;
+    Alcotest.test_case "set-up allocation bound" `Quick
+      test_setup_allocation_bound;
+    Alcotest.test_case "data store list: sub-word stores" `Quick
+      (test_store_list_subword ~alias:false);
+    Alcotest.test_case "data store list: sub-word stores rolled back" `Quick
+      (test_store_list_subword ~alias:true);
     Alcotest.test_case "next-li prediction" `Quick test_next_li_prediction_helps;
     QCheck_alcotest.to_alcotest prop_random_config_correct;
   ]

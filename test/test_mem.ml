@@ -355,6 +355,244 @@ let test_blockcache_on_drop_exactly_once () =
   Alcotest.(check int) "every insert dropped exactly once" !insert_count
     !drop_count
 
+(* ---- model-based properties: Cache and Blockcache against a
+   list-per-set true-LRU reference ----
+
+   Each reference set is the list of its residents, most recently used
+   first; a miss into a full set drops the last one. The caches allocate
+   their ways lazily (Blockcache) or as flat tag/stamp arrays (Cache), so
+   the cases mix 1-way and associative geometries and, when [sparse], aim
+   every access at even sets only, leaving the odd sets never touched. *)
+
+let drop_last l = List.filteri (fun i _ -> i < List.length l - 1) l
+
+(* the reference's access: (hit, the set without the key, the LRU resident
+   a miss into a full set evicts); the caller puts the key in front *)
+let model_touch sets set ~assoc key =
+  let resident = List.mem_assoc key sets.(set) in
+  let rest = List.remove_assoc key sets.(set) in
+  let rest, victim =
+    if resident || List.length rest < assoc then (rest, None)
+    else (drop_last rest, Some (List.nth rest (List.length rest - 1)))
+  in
+  (resident, rest, victim)
+
+let gen_geometry =
+  QCheck2.Gen.(
+    triple (oneofl [ 1; 2; 4 ]) (int_range 0 3) bool
+    |> map (fun (assoc, set_bits, sparse) -> (assoc, 1 lsl set_bits, sparse)))
+
+(* an index into [0, 4 * n_sets * assoc) — four times the capacity, so
+   sets conflict — kept even when [sparse] *)
+let gen_index ~assoc ~n_sets ~sparse =
+  QCheck2.Gen.(
+    int_range 0 ((4 * n_sets * assoc) - 1)
+    |> map (fun k -> if sparse then k land lnot 1 else k))
+
+type cache_op = C_access of int | C_probe of int
+
+let pp_cache_op = function
+  | C_access a -> Printf.sprintf "access %#x" a
+  | C_probe a -> Printf.sprintf "probe %#x" a
+
+let gen_cache_case =
+  let open QCheck2.Gen in
+  let* assoc, n_sets, sparse = gen_geometry in
+  let* line_bits = int_range 2 5 in
+  let addr idx =
+    map
+      (fun (line, off) -> (line lsl line_bits) lor off)
+      (pair idx (int_range 0 ((1 lsl line_bits) - 1)))
+  in
+  let+ ops =
+    list_size (int_range 0 80)
+      (frequency
+         [
+           ( 4,
+             map (fun a -> C_access a) (addr (gen_index ~assoc ~n_sets ~sparse))
+           );
+           ( 1,
+             map (fun a -> C_probe a)
+               (addr (gen_index ~assoc ~n_sets ~sparse:false)) );
+         ])
+  in
+  (assoc, n_sets, line_bits, ops)
+
+let print_cache_case (assoc, n_sets, line_bits, ops) =
+  Printf.sprintf "%d sets x %d ways, %d-byte lines: %s" n_sets assoc
+    (1 lsl line_bits)
+    (String.concat "; " (List.map pp_cache_op ops))
+
+let prop_cache_model =
+  QCheck2.Test.make ~count:500 ~name:"cache matches a true-LRU reference"
+    ~print:print_cache_case gen_cache_case
+    (fun (assoc, n_sets, line_bits, ops) ->
+      let penalty = 7 in
+      let c =
+        Cache.create
+          ~size_bytes:((n_sets * assoc) lsl line_bits)
+          ~line_bytes:(1 lsl line_bits) ~assoc ~miss_penalty:penalty
+      in
+      let sets = Array.make n_sets [] in
+      let hits = ref 0 and misses = ref 0 in
+      let locate addr =
+        let line = addr lsr line_bits in
+        (line mod n_sets, line / n_sets)
+      in
+      let step = function
+        | C_access addr ->
+          let set, tag = locate addr in
+          let hit, rest, _ = model_touch sets set ~assoc tag in
+          sets.(set) <- (tag, ()) :: rest;
+          if hit then incr hits else incr misses;
+          Cache.access c addr = if hit then 0 else penalty
+        | C_probe addr ->
+          let set, tag = locate addr in
+          Cache.probe c addr = List.mem_assoc tag sets.(set)
+      in
+      List.for_all step ops
+      && Cache.hits c = !hits
+      && Cache.misses c = !misses
+      (* every line of the range, touched sets or not, probes as modelled *)
+      && List.for_all
+           (fun line -> step (C_probe (line lsl line_bits)))
+           (List.init (4 * n_sets * assoc) Fun.id))
+
+type bc_op =
+  | B_find of int
+  | B_probe of int
+  | B_insert of int
+  | B_invalidate of int
+  | B_invalidate_all
+
+let pp_bc_op = function
+  | B_find k -> Printf.sprintf "find %#x" k
+  | B_probe k -> Printf.sprintf "probe %#x" k
+  | B_insert k -> Printf.sprintf "insert %#x" k
+  | B_invalidate k -> Printf.sprintf "invalidate %#x" k
+  | B_invalidate_all -> "invalidate_all"
+
+let gen_bc_case =
+  let open QCheck2.Gen in
+  let* assoc, n_sets, sparse = gen_geometry in
+  (* blocks are keyed by word address; the set is (key / 4) mod n_sets *)
+  let key ~sparse = map (fun k -> k * 4) (gen_index ~assoc ~n_sets ~sparse) in
+  let+ ops =
+    list_size (int_range 0 80)
+      (frequency
+         [
+           (3, map (fun k -> B_find k) (key ~sparse:false));
+           (1, map (fun k -> B_probe k) (key ~sparse:false));
+           (5, map (fun k -> B_insert k) (key ~sparse));
+           (1, map (fun k -> B_invalidate k) (key ~sparse:false));
+           (1, return B_invalidate_all);
+         ])
+  in
+  (assoc, n_sets, ops)
+
+let print_bc_case (assoc, n_sets, ops) =
+  Printf.sprintf "%d sets x %d ways: %s" n_sets assoc
+    (String.concat "; " (List.map pp_bc_op ops))
+
+(* Compares every result, the hit/miss/insertion/eviction counts and the
+   on_drop events of each operation, in order — except that
+   [invalidate_all]'s events are compared as a multiset, since their order
+   within a set follows way positions the reference does not model. The
+   payload of each insert is its serial number. *)
+let prop_blockcache_model =
+  QCheck2.Test.make ~count:500 ~name:"blockcache matches a true-LRU reference"
+    ~print:print_bc_case gen_bc_case
+    (fun (assoc, n_sets, ops) ->
+      let bc = Blockcache.create ~n_sets ~assoc in
+      let drops = ref [] in
+      Blockcache.set_on_drop bc (fun key p -> drops := (key, p) :: !drops);
+      let sets = Array.make n_sets [] in
+      let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+      let serial = ref 0 in
+      let set_of key = (key lsr 2) land (n_sets - 1) in
+      let step op =
+        drops := [];
+        let ok, want_drops =
+          match op with
+          | B_find k ->
+            let s = set_of k in
+            let r = Blockcache.find bc k in
+            (match List.assoc_opt k sets.(s) with
+            | Some p ->
+              incr hits;
+              sets.(s) <- (k, p) :: List.remove_assoc k sets.(s)
+            | None -> incr misses);
+            (r = List.assoc_opt k sets.(s), [])
+          | B_probe k ->
+            (Blockcache.probe bc k = List.mem_assoc k sets.(set_of k), [])
+          | B_insert k ->
+            incr serial;
+            let s = set_of k in
+            let r = Blockcache.insert bc k !serial in
+            let replaced = List.assoc_opt k sets.(s) in
+            let _, rest, victim = model_touch sets s ~assoc k in
+            sets.(s) <- (k, !serial) :: rest;
+            (match (replaced, victim) with
+            | Some old, _ -> (r = None, [ (k, old) ])
+            | None, Some (vk, vp) ->
+              incr evictions;
+              (r = Some vp, [ (vk, vp) ])
+            | None, None -> (r = None, []))
+          | B_invalidate k ->
+            let s = set_of k in
+            let r = Blockcache.invalidate bc k in
+            let old = List.assoc_opt k sets.(s) in
+            sets.(s) <- List.remove_assoc k sets.(s);
+            ( r = (old <> None),
+              Option.to_list (Option.map (fun p -> (k, p)) old) )
+          | B_invalidate_all ->
+            Blockcache.invalidate_all bc;
+            let all = List.concat (Array.to_list sets) in
+            Array.fill sets 0 n_sets [];
+            (true, all)
+        in
+        let got = List.rev !drops in
+        ok
+        &&
+        if op = B_invalidate_all then
+          List.sort compare got = List.sort compare want_drops
+        else got = want_drops
+      in
+      let contents () =
+        let l = ref [] in
+        Blockcache.iter (fun k p -> l := (k, p) :: !l) bc;
+        List.sort compare !l
+      in
+      List.for_all step ops
+      && Blockcache.hits bc = !hits
+      && Blockcache.misses bc = !misses
+      && Blockcache.insertions bc = !serial
+      && Blockcache.evictions bc = !evictions
+      && Blockcache.entry_count bc
+         = Array.fold_left (fun n s -> n + List.length s) 0 sets
+      && contents () = List.sort compare (List.concat (Array.to_list sets)))
+
+let test_blockcache_never_filled_sets () =
+  (* a fresh cache has no ways yet; every operation on a set no insert
+     has reached must see it empty *)
+  let bc = Blockcache.create ~n_sets:8 ~assoc:2 in
+  let drops = ref 0 in
+  Blockcache.set_on_drop bc (fun _ _ -> incr drops);
+  Blockcache.invalidate_all bc;
+  check_int "flushing a fresh cache drops nothing" 0 !drops;
+  Alcotest.(check (option string)) "fresh miss" None (Blockcache.find bc 0x20);
+  check_bool "fresh probe" false (Blockcache.probe bc 0x20);
+  check_bool "fresh invalidate" false (Blockcache.invalidate bc 0x20);
+  (* fill set 3 only: sets 0 and 5 stay never-filled *)
+  ignore (Blockcache.insert bc (3 * 4) "a");
+  Alcotest.(check (option string)) "other set" None (Blockcache.find bc (5 * 4));
+  check_bool "other set invalidate" false (Blockcache.invalidate bc 0);
+  check_int "one entry" 1 (Blockcache.entry_count bc);
+  Blockcache.invalidate_all bc;
+  check_int "flush drops the one resident" 1 !drops;
+  check_int "empty again" 0 (Blockcache.entry_count bc);
+  check_int "misses counted on never-filled sets" 2 (Blockcache.misses bc)
+
 let suite =
   [
     Alcotest.test_case "rw roundtrip" `Quick test_rw_roundtrip;
@@ -388,4 +626,8 @@ let suite =
       test_blockcache_on_drop_order;
     Alcotest.test_case "blockcache on_drop exactly-once under storm" `Quick
       test_blockcache_on_drop_exactly_once;
+    Alcotest.test_case "blockcache never-filled sets" `Quick
+      test_blockcache_never_filled_sets;
+    QCheck_alcotest.to_alcotest prop_cache_model;
+    QCheck_alcotest.to_alcotest prop_blockcache_model;
   ]
