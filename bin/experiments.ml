@@ -124,10 +124,16 @@ let run_experiments names scale budget jobs alloc_json optgap_json =
     Dts_parallel.Pool.with_pool ~jobs (fun pool ->
         List.map
           (fun name ->
-            let gc0 = Gc.quick_stat () in
+            (* OCaml 5.1's counters leave out the words still in the minor
+               heap, so each window starts from a collected heap and ends
+               with a minor collection: the counts are then exact, whatever
+               the minor heap size or where its collections fall *)
+            if alloc_json <> None then Gc.full_major ();
+            let minor0, _, major0 = Gc.counters () in
             let fig = Experiments.run ~pool ~scale ~budget name in
             let text = fig.Experiments.render () in
-            let gc1 = Gc.quick_stat () in
+            if alloc_json <> None then Gc.minor ();
+            let minor1, _, major1 = Gc.counters () in
             Cli.print (text ^ "\n");
             Option.iter
               (fun f -> Cli.write_file f (write_optgap_json ~budget fig))
@@ -138,10 +144,8 @@ let run_experiments names scale budget jobs alloc_json optgap_json =
                 List.fold_left
                   (fun n (r : Experiments.run) -> n + r.instructions)
                   0 fig.rows;
-              a_minor_words =
-                int_of_float (gc1.Gc.minor_words -. gc0.Gc.minor_words);
-              a_major_words =
-                int_of_float (gc1.Gc.major_words -. gc0.Gc.major_words);
+              a_minor_words = int_of_float (minor1 -. minor0);
+              a_major_words = int_of_float (major1 -. major0);
             })
           names)
   in

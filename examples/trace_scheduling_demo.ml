@@ -55,12 +55,12 @@ let () =
   List.iteri
     (fun k (name, r) ->
       incr cycle;
-      ignore (Sched_unit.tick t);
+      Sched_unit.tick t;
       (* mirror the paper's pipeline timing: the split of instruction 7
          completes before the subcc arrives *)
       if k = 7 then begin
         incr cycle;
-        ignore (Sched_unit.tick t)
+        Sched_unit.tick t
       end;
       Format.printf "--- inserting %s@." name;
       (match Sched_unit.insert t r with
@@ -71,7 +71,7 @@ let () =
   (* let the remaining candidates settle, as in the paper's 11-cycle view *)
   for _ = 1 to 2 do
     incr cycle;
-    ignore (Sched_unit.tick t);
+    Sched_unit.tick t;
     show ()
   done;
   match Sched_unit.finish_block t ~nba_addr:0x1024 with

@@ -70,7 +70,7 @@ type t = {
 let default_scheduler cfg =
   let u = Dts_sched.Sched_unit.create cfg.Config.sched in
   {
-    s_tick = (fun () -> ignore (Dts_sched.Sched_unit.tick u));
+    s_tick = (fun () -> Dts_sched.Sched_unit.tick u);
     s_insert = (fun r -> Dts_sched.Sched_unit.insert u r);
     s_finish = (fun ~nba_addr -> Dts_sched.Sched_unit.finish_block u ~nba_addr);
   }

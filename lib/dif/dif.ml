@@ -166,7 +166,7 @@ let emit_exit_map t li tag =
   in
   if moves <> [] then begin
     let k = find_aux_slot t li in
-    li_fill li k (Copy { c_moves = moves; c_order = -1; c_from = 0 }, tag)
+    li_fill li k (Copy (make_copy ~moves ~order:(-1) ~from:0 ()), tag)
   end;
   t.exits <- t.exits + 1
 
@@ -274,22 +274,9 @@ let insert t (r : Dts_primary.Primary.retired) =
           arch_writes
       in
       let sop =
-        {
-          uid = t.uid_ctr;
-          instr = r.instr;
-          addr = r.addr;
-          cwp = r.cwp;
-          reads;
-          arch_writes;
-          obs_taken = r.taken;
-          obs_next_pc = r.next_pc;
-          obs_mem = r.mem;
-          order;
-          cross = is_mem;
-          redirect;
-          subs = !subs;
-          fu;
-        }
+        make_sop ~uid:t.uid_ctr ~instr:r.instr ~addr:r.addr ~cwp:r.cwp ~reads
+          ~arch_writes ~obs_taken:r.taken ~obs_next_pc:r.next_pc
+          ~obs_mem:r.mem ~order ~cross:is_mem ~redirect ~subs:!subs ~fu
       in
       let tag = li_cur_tag li in
       li_fill li k (Op sop, tag);

@@ -39,3 +39,49 @@ let any_overlap xs ys =
   List.exists (fun x -> List.exists (overlaps x) ys) xs
 
 let is_mem = function Mem _ -> true | _ -> false
+
+(** {1 Position codes}
+
+    The Scheduler Unit and the optimality oracle test dependencies on small
+    int codes instead of comparing positions structurally, the way the
+    paper's Scheduler Unit compares register, flag and address fields with
+    fixed comparators (§3.7). Every non-memory position has a code, and two
+    non-memory positions overlap exactly when their codes are equal:
+    [Flags] is 0, [Win] is 1, [Fp_reg i] is [2 + i] (32 registers),
+    integer registers take the even codes from 34 up and renaming registers
+    the odd ones, so neither bound depends on the window count or on how
+    many renaming registers a block uses. Memory positions have no code
+    ({!no_code}): they keep their byte ranges. *)
+
+let no_code = -1
+let ren_code ~rk ~rix = 35 + (2 * ((4 * rix) + rk))
+
+let code = function
+  | Flags -> 0
+  | Win -> 1
+  | Fp_reg i -> 2 + i
+  | Int_reg i -> 34 + (2 * i)
+  | Ren { rk; rix } -> ren_code ~rk ~rix
+  | Mem _ -> no_code
+
+(** Is [c] the code of a renaming register? *)
+let code_is_ren c = c >= 35 && c land 1 = 1
+
+(** The codes of [ps], in order. Position sets have at most a few
+    elements, and those are built as literals, without a call into the
+    runtime's array constructor. *)
+let codes ps =
+  match ps with
+  | [] -> [||]
+  | [ a ] -> [| code a |]
+  | [ a; b ] -> [| code a; code b |]
+  | [ a; b; c ] -> [| code a; code b; code c |]
+  | p :: _ ->
+    let a = Array.make (List.length ps) (code p) in
+    let rec fill i = function
+      | [] -> a
+      | p :: tl ->
+        a.(i) <- code p;
+        fill (i + 1) tl
+    in
+    fill 0 ps

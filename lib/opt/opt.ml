@@ -123,7 +123,44 @@ let model_nodes m = Array.length m.m_nodes
 let model_fcfs m = m.m_fcfs
 let model_orig m = Array.copy m.m_orig
 
-let node_of_slot lat ~fu op =
+(* Sort an int array in place: a merge sort comparing with [<] directly,
+   several times faster than [Array.sort Int.compare] on the few hundred
+   keys of a block. *)
+let sort_ints a =
+  let tmp = Array.make (Array.length a) 0 in
+  let rec sort lo hi =
+    if hi - lo <= 12 then
+      for i = lo + 1 to hi - 1 do
+        let x = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= lo && a.(!j) > x do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- x
+      done
+    else begin
+      let mid = (lo + hi) / 2 in
+      sort lo mid;
+      sort mid hi;
+      let i = ref lo and j = ref mid and k = ref lo in
+      while !k < hi do
+        if !j >= hi || (!i < mid && a.(!i) <= a.(!j)) then begin
+          tmp.(!k) <- a.(!i);
+          incr i
+        end
+        else begin
+          tmp.(!k) <- a.(!j);
+          incr j
+        end;
+        incr k
+      done;
+      Array.blit tmp lo a lo (hi - lo)
+    end
+  in
+  sort 0 (Array.length a)
+
+let node_of_slot lat op =
   let trace = match op with Op s -> s.uid | Copy c -> c.c_from in
   let branch =
     match op with
@@ -133,179 +170,261 @@ let node_of_slot lat ~fu op =
   let lat_n = match op with Op s -> Instr.latency lat s.instr | Copy _ -> 1 in
   let arch =
     branch
-    || List.exists
-         (fun w -> match w with Storage.Ren _ -> false | _ -> true)
-         (slot_arch_writes op)
+    || Array.exists (fun w -> not (Storage.code_is_ren w)) (slot_wcodes op)
   in
   {
     n_op = op;
-    n_fu = fu;
-    n_lat = max 1 lat_n;
+    n_fu = slot_fu op;
+    n_lat = (if lat_n > 1 then lat_n else 1);
     n_trace = trace;
     n_branch = branch;
     n_arch = arch;
   }
 
-(* The functional unit a slot op occupies. An op carries its own class; a
-   COPY executes on its parent op's unit — the Scheduler Unit places a
-   split's copy by the split op's class ([find_slot ... c_op.fu] in
-   sched_unit.ml), so e.g. a split load's register-delivering copy
-   legitimately occupies a Fu_mem slot. The parent is always in the same
-   block ([c_from] is its uid); the kind-based fallback only covers a
-   hypothetical orphaned copy. *)
-let block_fu_resolver (b : block) =
-  let op_fu = Hashtbl.create 64 in
-  Array.iter
-    (fun li ->
-      li_iter
-        (fun _ op _ ->
-          match op with
-          | Op s -> Hashtbl.replace op_fu s.uid s.fu
-          | Copy _ -> ())
-        li)
-    b.lis;
-  fun op ->
-    match op with
-    | Op s -> s.fu
-    | Copy c -> (
-      match Hashtbl.find_opt op_fu c.c_from with
-      | Some fu -> fu
-      | None ->
-        if List.exists (fun (r, _) -> r.kind = K_mem) c.c_moves then
-          Instr.Fu_mem
-        else if List.exists (fun (r, _) -> r.kind = K_fp) c.c_moves then
-          Instr.Fu_fp
-        else Instr.Fu_int)
+let dummy_node =
+  node_of_slot Instr.unit_latencies (Copy (make_copy ~moves:[] ~order:(-1) ~from:0 ()))
 
 (* The §3.10 events of a node: its own load, its own unrenamed store, or
-   the store a COPY commits — (is_store, order, addr, size), matching what
-   the engine logs into the alias log at runtime. *)
-let mem_events op =
+   the store a COPY commits, passed to [f is_store order addr size] —
+   what the engine logs into the alias log at runtime. *)
+let iter_mem_events f op =
   match op with
   | Op s when Instr.is_load s.instr ->
-    List.filter_map
+    List.iter
       (function
-        | Storage.Mem { addr; size } -> Some (false, s.order, addr, size)
-        | _ -> None)
+        | Storage.Mem { addr; size } -> f false s.order addr size | _ -> ())
       s.reads
   | Op s when Instr.is_store s.instr ->
-    List.filter_map
-      (function
-        | Storage.Mem { addr; size } -> Some (true, s.order, addr, size)
-        | _ -> None)
-      (slot_arch_writes op)
-  | Op _ -> []
+    List.iteri
+      (fun k w ->
+        match w with
+        | Storage.Mem { addr; size } when s.wcodes.(k) = Storage.no_code ->
+          f true s.order addr size
+        | _ -> ())
+      s.arch_writes
+  | Op _ -> ()
   | Copy c ->
-    List.filter_map
+    List.iter
       (fun (_, t) ->
         match t with
-        | T_arch (Storage.Mem { addr; size }) ->
-          Some (true, c.c_order, addr, size)
-        | _ -> None)
+        | T_arch (Storage.Mem { addr; size }) -> f true c.c_order addr size
+        | _ -> ())
       c.c_moves
 
+(* A growable list of constraint edges [li v >= li u + w]. *)
+type edges = {
+  mutable e_u : int array;
+  mutable e_v : int array;
+  mutable e_w : int array;
+  mutable e_n : int;
+}
+
+let add_edge es u v w =
+  if u <> v then begin
+    if es.e_n = Array.length es.e_u then begin
+      let grow a =
+        let a' = Array.make (2 * Array.length a) 0 in
+        Array.blit a 0 a' 0 es.e_n;
+        a'
+      in
+      es.e_u <- grow es.e_u;
+      es.e_v <- grow es.e_v;
+      es.e_w <- grow es.e_w
+    end;
+    es.e_u.(es.e_n) <- u;
+    es.e_v.(es.e_n) <- v;
+    es.e_w.(es.e_n) <- w;
+    es.e_n <- es.e_n + 1
+  end
+
+(* A fresh array for [k] edges; most nodes have one to three, built as
+   literals without a call into the runtime. *)
+let edge_array k =
+  match k with
+  | 0 -> [||]
+  | 1 -> [| (0, 0) |]
+  | 2 -> [| (0, 0); (0, 0) |]
+  | 3 -> [| (0, 0); (0, 0); (0, 0) |]
+  | k -> Array.make k (0, 0)
+
+(* Each (u, v) pair once, at its largest weight: predecessor and successor
+   lists of [n] nodes. *)
+let adjacency n es =
+  (* bucket the edges by target *)
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to es.e_n - 1 do
+    start.(es.e_v.(i) + 1) <- start.(es.e_v.(i) + 1) + 1
+  done;
+  for v = 1 to n do
+    start.(v) <- start.(v) + start.(v - 1)
+  done;
+  let fill = Array.sub start 0 n in
+  let by_v = Array.make es.e_n 0 in
+  for i = 0 to es.e_n - 1 do
+    let v = es.e_v.(i) in
+    by_v.(fill.(v)) <- i;
+    fill.(v) <- fill.(v) + 1
+  done;
+  (* [seen.(u) = v + 1] once (u, v) has a slot in [v]'s list, [best.(u)]
+     its weight so far *)
+  let seen = Array.make n 0 and best = Array.make n 0 in
+  let n_succs = Array.make n 0 in
+  let preds =
+    Array.init n (fun v ->
+        let k = ref 0 in
+        for j = start.(v) to start.(v + 1) - 1 do
+          let i = by_v.(j) in
+          let u = es.e_u.(i) and w = es.e_w.(i) in
+          if seen.(u) <> v + 1 then begin
+            seen.(u) <- v + 1;
+            best.(u) <- w;
+            incr k
+          end
+          else if w > best.(u) then best.(u) <- w
+        done;
+        let ps = edge_array !k in
+        k := 0;
+        for j = start.(v) to start.(v + 1) - 1 do
+          let u = es.e_u.(by_v.(j)) in
+          if seen.(u) = v + 1 then begin
+            (* the first occurrence takes the slot; mark it done *)
+            seen.(u) <- -(v + 1);
+            ps.(!k) <- (u, best.(u));
+            n_succs.(u) <- n_succs.(u) + 1;
+            incr k
+          end
+        done;
+        ps)
+  in
+  let succs = Array.map edge_array n_succs in
+  Array.fill n_succs 0 n 0;
+  for v = 0 to n - 1 do
+    let ps = preds.(v) in
+    for j = 0 to Array.length ps - 1 do
+      let u, w = ps.(j) in
+      succs.(u).(n_succs.(u)) <- (v, w);
+      n_succs.(u) <- n_succs.(u) + 1
+    done
+  done;
+  (preds, succs)
+
 let model_of_block (lat : Instr.latencies) (b : block) =
-  let fu_of = block_fu_resolver b in
-  let nodes = ref [] and orig = ref [] in
-  Array.iteri
-    (fun li_idx li ->
-      li_iter
-        (fun _ op _tag ->
-          nodes := node_of_slot lat ~fu:(fu_of op) op :: !nodes;
-          orig := li_idx :: !orig)
-        li)
-    b.lis;
-  let nodes = Array.of_list (List.rev !nodes) in
-  let orig = Array.of_list (List.rev !orig) in
-  let n = Array.length nodes in
-  let edges : (int * int, int) Hashtbl.t = Hashtbl.create (4 * n) in
-  let add_edge u v w =
-    if u <> v then
-      match Hashtbl.find_opt edges (u, v) with
-      | Some w' when w' >= w -> ()
-      | _ -> Hashtbl.replace edges (u, v) w
+  let n = Array.fold_left (fun a li -> a + li_count li) 0 b.lis in
+  let nodes = Array.make n dummy_node and orig = Array.make n 0 in
+  (* [na] counts the accesses to non-memory positions *)
+  let i = ref 0 and na = ref 0 in
+  for li_idx = 0 to Array.length b.lis - 1 do
+    let li = b.lis.(li_idx) in
+    for j = 0 to li.n_filled - 1 do
+      match li.slots.(li.filled.(j)) with
+      | Some (op, _) ->
+        nodes.(!i) <- node_of_slot lat op;
+        orig.(!i) <- li_idx;
+        incr i;
+        Array.iter (fun c -> if c >= 0 then incr na) (slot_wcodes op);
+        Array.iter (fun c -> if c >= 0 then incr na) (slot_rcodes op)
+      | None -> ()
+    done
+  done;
+  let na = !na in
+  let es =
+    {
+      e_u = Array.make ((8 * n) + 8) 0;
+      e_v = Array.make ((8 * n) + 8) 0;
+      e_w = Array.make ((8 * n) + 8) 0;
+      e_n = 0;
+    }
   in
   (* value flow through non-memory positions (architectural registers,
      flags, the window pointer and renaming registers): the block's own
      placement names, for every position, which writer each reader
      observed — the model pins each reader between that writer and the
-     next one, and orders the writers themselves *)
-  let positions : (Storage.t, int list ref * int list ref) Hashtbl.t =
-    Hashtbl.create 64
+     next one, and orders the writers themselves. Accesses are grouped by
+     position code by sorting them as [((code * n) + node) * 2 + is_read]. *)
+  let accesses = Array.make na 0 in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    let op = nodes.(i).n_op in
+    for is_read = 0 to 1 do
+      let codes = if is_read = 0 then slot_wcodes op else slot_rcodes op in
+      for k = 0 to Array.length codes - 1 do
+        let c = codes.(k) in
+        if c >= 0 then begin
+          accesses.(!j) <- (((c * n) + i) * 2) + is_read;
+          incr j
+        end
+      done
+    done
+  done;
+  sort_ints accesses;
+  let by_place a b =
+    let c = Int.compare orig.(a) orig.(b) in
+    if c <> 0 then c else Int.compare nodes.(a).n_trace nodes.(b).n_trace
   in
-  let entry p =
-    match Hashtbl.find_opt positions p with
-    | Some e -> e
-    | None ->
-      let e = (ref [], ref []) in
-      Hashtbl.add positions p e;
-      e
-  in
-  Array.iteri
-    (fun i nd ->
-      List.iter
-        (fun w ->
-          if not (Storage.is_mem w) then (
-            let ws, _ = entry w in
-            ws := i :: !ws))
-        (slot_arch_writes nd.n_op);
-      List.iter
-        (fun r ->
-          if not (Storage.is_mem r) then (
-            let _, rs = entry r in
-            rs := i :: !rs))
-        (slot_arch_reads nd.n_op))
-    nodes;
-  Hashtbl.iter
-    (fun _p (ws, rs) ->
-      let ws =
-        List.sort
-          (fun a b ->
-            compare (orig.(a), nodes.(a).n_trace) (orig.(b), nodes.(b).n_trace))
-          !ws
-      in
-      let rec waw = function
-        | a :: (b :: _ as tl) ->
-          add_edge a b 1;
-          waw tl
-        | _ -> ()
-      in
-      waw ws;
-      List.iter
-        (fun r ->
-          (* the writer this reader observed: the last one strictly above
-             it (reads happen at the start of a long instruction, writes
-             commit at the end) — and the next writer it must not sink
-             past (same cycle is fine, for the same reason) *)
-          let rec find prev = function
-            | [] -> (prev, None)
-            | w :: tl ->
-              if orig.(w) < orig.(r) then find (Some w) tl else (prev, Some w)
-          in
-          match find None ws with
-          | Some w, nxt ->
-            add_edge w r nodes.(w).n_lat;
-            (match nxt with Some w' -> add_edge r w' 0 | None -> ())
-          | None, Some w1 -> add_edge r w1 0 (* reads block-entry state *)
-          | None, None -> ())
-        !rs)
-    positions;
+  let g = ref 0 in
+  while !g < na do
+    let code = accesses.(!g) / (2 * n) in
+    let stop = ref !g in
+    while !stop < na && accesses.(!stop) / (2 * n) = code do
+      incr stop
+    done;
+    (* the writers, newest node first, in (li, trace) order *)
+    let ws = ref [] in
+    for j = !g to !stop - 1 do
+      let a = accesses.(j) in
+      if a land 1 = 0 then ws := (a / 2 mod n) :: !ws
+    done;
+    let ws = List.sort by_place !ws in
+    let rec waw = function
+      | a :: (b :: _ as tl) ->
+        add_edge es a b 1;
+        waw tl
+      | _ -> ()
+    in
+    waw ws;
+    for j = !g to !stop - 1 do
+      let a = accesses.(j) in
+      if a land 1 = 1 then begin
+        let r = a / 2 mod n in
+        (* the writer this reader observed: the last one strictly above
+           it (reads happen at the start of a long instruction, writes
+           commit at the end) — and the next writer it must not sink
+           past (same cycle is fine, for the same reason) *)
+        let prev = ref (-1) and next = ref (-1) and rest = ref ws in
+        while !next < 0 && match !rest with [] -> false | _ :: _ -> true do
+          match !rest with
+          | w :: tl ->
+            if orig.(w) < orig.(r) then prev := w else next := w;
+            rest := tl
+          | [] -> ()
+        done;
+        if !prev >= 0 then add_edge es !prev r nodes.(!prev).n_lat;
+        (* a reader of the block-entry state, or of [prev]'s value, stays
+           at or above the next writer *)
+        if !next >= 0 then add_edge es r !next 0
+      end
+    done;
+    g := !stop
+  done;
   (* §3.10: overlapping memory events in order-field order, exactly the
      runtime predicate of Dts_vliw.Aliaslog.violates *)
-  let evs =
-    Array.of_list
-      (List.concat
-         (List.init n (fun i ->
-              List.map (fun e -> (i, e)) (mem_events nodes.(i).n_op))))
-  in
+  let evs = ref [] in
+  Array.iteri
+    (fun i nd ->
+      iter_mem_events
+        (fun is_store order addr size ->
+          evs := (i, is_store, order, addr, size) :: !evs)
+        nd.n_op)
+    nodes;
+  let evs = Array.of_list (List.rev !evs) in
   Array.iter
-    (fun (na, (sa, oa, aa, za)) ->
+    (fun (na, sa, oa, aa, za) ->
       Array.iter
-        (fun (nb, (sb, ob, ab, zb)) ->
+        (fun (nb, sb, ob, ab, zb) ->
           if na <> nb && oa < ob && aa < ab + zb && ab < aa + za then
             match (sa, sb) with
-            | true, _ -> add_edge na nb 1 (* store commits strictly first *)
-            | false, true -> add_edge na nb 0 (* load may share the store's li *)
+            | true, _ -> add_edge es na nb 1 (* store commits strictly first *)
+            | false, true -> add_edge es na nb 0 (* load may share the store's li *)
             | false, false -> ())
         evs)
     evs;
@@ -313,29 +432,25 @@ let model_of_block (lat : Instr.latencies) (b : block) =
      (same cycle is legal — the rebuilt branch tags squash the younger op
      on a mispredict); fully-renamed ops float freely, their committing
      COPYs carry the architectural effect and the pin *)
-  Array.iteri
-    (fun bidx nb ->
-      if nb.n_branch then
-        Array.iteri
-          (fun i nd ->
-            if i <> bidx && nd.n_arch then
-              if nd.n_trace < nb.n_trace then add_edge i bidx 0
-              else add_edge bidx i 0)
-          nodes)
-    nodes;
-  let preds = Array.make n [] and succs = Array.make n [] in
-  Hashtbl.iter
-    (fun (u, v) w ->
-      preds.(v) <- (u, w) :: preds.(v);
-      succs.(u) <- (v, w) :: succs.(u))
-    edges;
+  for bidx = 0 to n - 1 do
+    let nb = nodes.(bidx) in
+    if nb.n_branch then
+      for i = 0 to n - 1 do
+        let nd = nodes.(i) in
+        if i <> bidx && nd.n_arch then
+          if nd.n_trace < nb.n_trace then add_edge es i bidx 0
+          else add_edge es bidx i 0
+      done
+  done;
+  let preds, succs = adjacency n es in
   {
     m_nodes = nodes;
     m_fcfs = Array.length b.lis;
     m_orig = orig;
-    m_preds = Array.map Array.of_list preds;
-    m_succs = Array.map Array.of_list succs;
-    m_maxlat = Array.fold_left (fun a nd -> max a nd.n_lat) 1 nodes;
+    m_preds = preds;
+    m_succs = succs;
+    m_maxlat =
+      Array.fold_left (fun a nd -> if nd.n_lat > a then nd.n_lat else a) 1 nodes;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -736,10 +851,10 @@ let exhaustive g (m : model) =
    dedicated-first is exact whenever the Hall condition holds). *)
 let pick_slot g li fu =
   match g.g_classes with
-  | None -> (
-    match li_find_slot li fu with
-    | Some k -> k
-    | None -> invalid_arg "Dts_opt.Opt.rebuild: no free slot")
+  | None ->
+    let k = li_free_slot li fu in
+    if k < 0 then invalid_arg "Dts_opt.Opt.rebuild: no free slot";
+    k
   | Some classes ->
     let rec scan pred k =
       if k >= Array.length li.slots then None
@@ -771,14 +886,15 @@ let rebuild g (b : block) (m : model) assign =
   let n = Array.length m.m_nodes in
   if n = 0 then b
   else begin
-    let len = Array.fold_left max 0 assign + 1 in
+    let len = Array.fold_left (fun a c -> if c > a then c else a) 0 assign + 1 in
     let lis = Array.init len (fun _ -> li_create g.g_width) in
     let by_cycle = Array.make len [] in
     let order = Array.init n Fun.id in
     (* trace-descending, so the per-cycle lists come out trace-ascending *)
     Array.sort
       (fun a b ->
-        compare (m.m_nodes.(b).n_trace, b) (m.m_nodes.(a).n_trace, a))
+        let c = Int.compare m.m_nodes.(b).n_trace m.m_nodes.(a).n_trace in
+        if c <> 0 then c else Int.compare b a)
       order;
     Array.iter
       (fun v -> by_cycle.(assign.(v)) <- v :: by_cycle.(assign.(v)))
@@ -811,7 +927,9 @@ let rebuild g (b : block) (m : model) assign =
             | _ -> ())
           li)
       lis;
-    let max_li_ops = Array.fold_left (fun a li -> max a (li_count li)) 0 lis in
+    let max_li_ops =
+      Array.fold_left (fun a li -> if li_count li > a then li_count li else a) 0 lis
+    in
     { b with lis; nba_idx = len - 1; max_li_ops }
   end
 
@@ -827,7 +945,6 @@ let rebuild g (b : block) (m : model) assign =
 let check_block g (lat : Instr.latencies) (b : block) =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  let fu_of = block_fu_resolver b in
   Array.iteri
     (fun i li ->
       if Array.length li.slots <> g.g_width then
@@ -844,10 +961,10 @@ let check_block g (lat : Instr.latencies) (b : block) =
             match classes.(k) with
             | None -> ()
             | Some c ->
-              if c <> fu_of op then
+              if c <> slot_fu op then
                 err "li %d slot %d: %s op in a dedicated slot of another class"
                   i k
-                  (Instr.show_fu_class (fu_of op)))
+                  (Instr.show_fu_class (slot_fu op)))
           li)
       b.lis);
   let m = model_of_block lat b in
@@ -860,34 +977,41 @@ let check_block g (lat : Instr.latencies) (b : block) =
   in
   Array.iteri
     (fun i li ->
-      let ops = li_fold (fun acc _ op tag -> (op, tag) :: acc) [] li in
-      let nbr = List.length (List.filter (fun (o, _) -> is_br o) ops) in
+      let nbr = li_fold (fun a _ o _ -> if is_br o then a + 1 else a) 0 li in
       if li.n_branches <> nbr then
         err "li %d: n_branches %d but %d branches present" i li.n_branches nbr;
-      List.iter
-        (fun (op, tag) ->
+      li_iter
+        (fun _ op tag ->
           let expect =
-            List.length
-              (List.filter
-                 (fun (o, _) -> is_br o && trace o < trace op)
-                 ops)
+            li_fold
+              (fun a _ o _ -> if is_br o && trace o < trace op then a + 1 else a)
+              0 li
           in
           if tag <> expect then
             err "li %d: tag %d on an op with %d trace-earlier branches" i tag
               expect)
-        ops)
+        li)
     b.lis;
-  let log = Dts_vliw.Aliaslog.create () in
+  (* the log is made at the block's first memory event *)
+  let log = ref None in
   (try
      Array.iteri
        (fun li_idx li ->
          li_iter
            (fun _ op _ ->
-             List.iter
-               (fun (is_store, order, addr, size) ->
-                 Dts_vliw.Aliaslog.log log ~addr ~size ~order ~li:li_idx
+             iter_mem_events
+               (fun is_store order addr size ->
+                 let l =
+                   match !log with
+                   | Some l -> l
+                   | None ->
+                     let l = Dts_vliw.Aliaslog.create () in
+                     log := Some l;
+                     l
+                 in
+                 Dts_vliw.Aliaslog.log l ~addr ~size ~order ~li:li_idx
                    ~is_store ~cross:false)
-               (mem_events op))
+               op)
            li)
        b.lis
    with Dts_vliw.Aliaslog.Alias_violation ->
@@ -952,7 +1076,7 @@ let capturing_scheduler (cfg : Dts_core.Config.t) =
   let make () =
     let u = SU.create cfg.Dts_core.Config.sched in
     {
-      Dts_core.Machine.s_tick = (fun () -> ignore (SU.tick u));
+      Dts_core.Machine.s_tick = (fun () -> SU.tick u);
       s_insert = (fun r -> SU.insert u r);
       s_finish =
         (fun ~nba_addr ->
@@ -976,7 +1100,7 @@ let rescheduling_scheduler ?(node_budget = 4_000) (cfg : Dts_core.Config.t) ()
   let g = geometry_of_config cfg in
   let lat = cfg.Dts_core.Config.sched.SU.latencies in
   {
-    Dts_core.Machine.s_tick = (fun () -> ignore (SU.tick u));
+    Dts_core.Machine.s_tick = (fun () -> SU.tick u);
     s_insert = (fun r -> SU.insert u r);
     s_finish =
       (fun ~nba_addr ->

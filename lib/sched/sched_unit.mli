@@ -8,7 +8,9 @@
 
     Candidates are resolved head→tail, matching the carry-lookahead signal
     formulation of §3.7 (implemented independently in {!Signals} and
-    cross-checked by property tests). *)
+    cross-checked by property tests). Dependence tests read per-element
+    summaries of each long instruction's read and write positions, kept up
+    to date as ops are placed, moved, split and finished. *)
 
 type config = {
   width : int;  (** instructions per long instruction *)
@@ -48,9 +50,13 @@ val element : t -> int -> Schedtypes.element
 (** Element [i] of the scheduling list (0 = head). Used by {!Signals} and
     by tests; treat as read-only. *)
 
-val tick : t -> (int * decision) list
-(** One cycle of candidate resolution, head→tail; returns the decisions
-    taken as [(element index before resolution, decision)]. *)
+val tick : t -> unit
+(** One cycle of candidate resolution, head→tail. A cycle in which every
+    candidate moves or installs allocates nothing. *)
+
+val tick_decisions : t -> (int * decision) list
+(** {!tick}, returning the decisions taken as [(element index before
+    resolution, decision)]. *)
 
 val insert : t -> Dts_primary.Primary.retired -> [ `Ok | `Full ]
 (** Place one completed instruction (already filtered: not a nop, not an

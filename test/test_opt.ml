@@ -205,8 +205,45 @@ let prop_oracle_on_random_blocks =
         && (Opt.model_nodes m > 6
            || (s.Opt.s_exact && Opt.exhaustive g m = s.Opt.s_upper)))
 
+(* ---- the oracle backend as the fuzzer runs it (pinned) ---- *)
+
+(* Machine cycles of [Opt.rescheduling_scheduler] machines on the first 32
+   programs of fuzz seed 1: every block is re-scheduled by the oracle and
+   rebuilt before installation, so a change to the scheduler's blocks, the
+   constraint model, the search or the rebuild moves these counts. *)
+let opt_machine_cycles cfg =
+  let max_insns = Dts_fuzz.Gen.default_max_insns in
+  let fuel = Dts_fuzz.Gen.dynamic_bound ~max_insns in
+  List.init 32 (fun i ->
+      let seed = Dts_fuzz.Sprng.derive 1 i in
+      let program = Dts_fuzz.Gen.generate ~max_insns ~seed () in
+      let scheduler = Opt.rescheduling_scheduler cfg in
+      let m = Dts_core.Machine.create ~compile:false ~scheduler cfg program in
+      ignore (Dts_core.Machine.run ~max_instructions:fuel m);
+      m.Dts_core.Machine.cycles)
+
+let test_pinned_opt_cycles () =
+  List.iter
+    (fun (name, cfg, expected) ->
+      Alcotest.(check (list int))
+        (name ^ ": cycles per program") expected (opt_machine_cycles cfg))
+    [
+      ( "ideal",
+        Dts_core.Config.ideal (),
+        [ 313; 673; 333; 514; 323; 523; 207; 335; 439; 1068; 269; 186; 523;
+          184; 542; 245; 430; 255; 430; 139; 371; 431; 290; 475; 437; 407;
+          307; 185; 239; 298; 354; 315 ] );
+      ( "feasible",
+        Dts_core.Config.feasible (),
+        [ 537; 834; 496; 650; 492; 730; 383; 507; 605; 1284; 500; 338; 731;
+          368; 743; 367; 591; 434; 618; 300; 526; 627; 442; 722; 718; 583;
+          458; 369; 423; 499; 671; 475 ] );
+    ]
+
 let suite =
   [
+    Alcotest.test_case "oracle backend cycles, fuzz seed 1 (pinned)" `Quick
+      test_pinned_opt_cycles;
     Alcotest.test_case "geometry decomposition" `Quick
       test_geometry_decomposition;
     Alcotest.test_case "all workload blocks, both geometries" `Slow

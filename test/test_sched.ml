@@ -74,7 +74,7 @@ let test_move_up () =
   insert_ok t (ret ~addr:0x1008 (alu 5 1 6));
   (* independent but lands in tail element; should move up *)
   check_int "two elements" 2 (Sched_unit.length t);
-  ignore (Sched_unit.tick t);
+  Sched_unit.tick t;
   (* the independent op moves to element 0 *)
   check_int "li0 has two ops" 2 (li_count (Sched_unit.element t 0).e_li);
   check_int "li1 has one op" 1 (li_count (Sched_unit.element t 1).e_li)
@@ -84,7 +84,7 @@ let test_install_on_flow () =
   insert_ok t (ret ~addr:0x1000 (alu 1 1 2));
   insert_ok t (ret ~addr:0x1004 (alu 2 1 3));
   let decisions = ref [] in
-  decisions := Sched_unit.tick t;
+  decisions := Sched_unit.tick_decisions t;
   (* the dependent candidate must install, not move *)
   check_bool "installed" true
     (List.exists (fun (_, d) -> d = Sched_unit.D_install) !decisions)
@@ -96,7 +96,7 @@ let test_split_on_output_dep () =
   insert_ok t (ret ~addr:0x1004 (alu 1 2 2));
   (* output dep on tail element forces second element at insert *)
   check_int "two elements" 2 (Sched_unit.length t);
-  let d = Sched_unit.tick t in
+  let d = Sched_unit.tick_decisions t in
   check_bool "split happened" true
     (List.exists (fun (_, x) -> x = Sched_unit.D_split) d);
   (* element 0's li now holds op1, renamed op2; element... the copy sits in
@@ -116,8 +116,8 @@ let test_split_on_anti_dep () =
   insert_ok t (ret ~addr:0x1000 (alu 1 1 2));
   insert_ok t (ret ~addr:0x1004 (alu_rr 2 0 3));
   insert_ok t (ret ~addr:0x1008 (alu 4 7 2));
-  ignore (Sched_unit.tick t);
-  ignore (Sched_unit.tick t);
+  Sched_unit.tick t;
+  Sched_unit.tick t;
   (* op3 should have split rather than stalled below op2 *)
   let all_copies =
     List.concat_map
@@ -195,7 +195,7 @@ let test_no_renaming_config () =
   let t = Sched_unit.create (cfg ~renaming:false ()) in
   insert_ok t (ret ~addr:0x1000 (alu 1 1 2));
   insert_ok t (ret ~addr:0x1004 (alu 1 2 2));
-  let d = Sched_unit.tick t in
+  let d = Sched_unit.tick_decisions t in
   check_bool "no split without renaming" true
     (List.for_all (fun (_, x) -> x <> Sched_unit.D_split) d)
 
@@ -212,7 +212,7 @@ let test_branch_flags_forwarded_after_split () =
   insert_ok t (ret ~addr:0x1000 (alu_rr ~cc:true 1 2 3));
   insert_ok t (ret ~addr:0x1004 (alu_rr ~cc:true 4 5 6));
   check_int "WAW made two elements" 2 (Sched_unit.length t);
-  let d = Sched_unit.tick t in
+  let d = Sched_unit.tick_decisions t in
   check_bool "the second flags writer split" true
     (List.exists (fun (_, x) -> x = Sched_unit.D_split) d);
   insert_ok t
@@ -296,7 +296,7 @@ let test_latency_blocks_move_up () =
      below the mul but no further *)
   insert_ok t (ret ~addr:0x100c (alu_rr 2 0 7));
   for _ = 1 to 6 do
-    ignore (Sched_unit.tick t)
+    Sched_unit.tick t
   done;
   let b = Option.get (Sched_unit.finish_block t ~nba_addr:0x1010) in
   let li_of_uid target_rd =
@@ -336,7 +336,7 @@ let test_multicycle_op_does_not_split () =
   insert_ok t
     (ret ~addr:0x1004
        (Dts_isa.Instr.Alu { op = Smul; cc = false; rs1 = 3; op2 = Reg 3; rd = 2 }));
-  let d = Sched_unit.tick t in
+  let d = Sched_unit.tick_decisions t in
   check_bool "no split for multicycle" true
     (List.for_all (fun (_, x) -> x <> Sched_unit.D_split) d)
 
@@ -373,13 +373,13 @@ let test_fig2_schedule () =
   let t = Sched_unit.create (cfg ~width:3 ~height:4 ()) in
   List.iteri
     (fun k r ->
-      ignore (Sched_unit.tick t);
-      if k = 7 then ignore (Sched_unit.tick t);
+      Sched_unit.tick t;
+      if k = 7 then Sched_unit.tick t;
       insert_ok t r)
     (fig2_program 10);
   (* let remaining candidates settle *)
   for _ = 1 to 4 do
-    ignore (Sched_unit.tick t)
+    Sched_unit.tick t
   done;
   let b = Option.get (Sched_unit.finish_block t ~nba_addr:0x1024) in
   (* paper's snapshot: 4 long instructions, instruction 7 split (a COPY is
@@ -475,7 +475,7 @@ let run_stream ?(width = 3) ?(height = 4) stream check =
   List.iter
     (fun (instr, memslot) ->
       check t;
-      ignore (Sched_unit.tick t);
+      Sched_unit.tick t;
       let mem =
         if Dts_isa.Instr.is_mem instr then Some (0x8000 + (memslot * 4), 4)
         else None
@@ -497,7 +497,7 @@ let prop_signals_match_behaviour =
       ignore
         (run_stream stream (fun t ->
              let expected = Signals.verdicts t in
-             let actual = Sched_unit.tick t in
+             let actual = Sched_unit.tick_decisions t in
              (* tick was consumed by the check; compare decisions *)
              List.iter2
                (fun (i1, v) (i2, d) ->
@@ -644,6 +644,239 @@ let prop_mem_orders_monotone =
         in
         mono sorted)
 
+(* ---- the summary-based unit against the list-based reference (property) ---- *)
+
+(* Random machines: homogeneous, the feasible machine's slot classes, or
+   random classes with one universal slot; unit or multicycle latencies;
+   each scheduling option on or off. *)
+let gen_unit_config =
+  let open QCheck2.Gen in
+  let* shape = int_range 0 2 in
+  let* width = int_range 1 6 and* height = int_range 1 8 in
+  let* width, slot_classes =
+    match shape with
+    | 0 -> return (width, None)
+    | 1 -> return (10, Some Dts_core.Config.feasible_slot_classes)
+    | _ ->
+      let+ classes =
+        array_size (return (width + 1))
+          (oneofl
+             Dts_isa.Instr.[ Some Fu_int; Some Fu_mem; Some Fu_fp; Some Fu_br; None ])
+      in
+      classes.(0) <- None;
+      (width + 1, Some classes)
+  in
+  let* latencies =
+    oneofl
+      Dts_isa.Instr.
+        [
+          unit_latencies;
+          multicycle_latencies;
+          { l_load = 2; l_mul = 1; l_div = 1; l_fp = 1 };
+          { l_load = 1; l_mul = 3; l_div = 2; l_fp = 1 };
+        ]
+  in
+  let* renaming = bool and* resplit_on_control = bool and* mem_motion = bool in
+  let+ strict_control_insert = bool in
+  {
+    Sched_unit.default_config with
+    width;
+    height;
+    slot_classes;
+    renaming;
+    resplit_on_control;
+    mem_motion;
+    strict_control_insert;
+    latencies;
+  }
+
+(* One retired instruction, plus the extra cycles (ticks) before it. Memory
+   ops touch a 16-byte arena at every width, so sub-word accesses overlap;
+   save/restore move the window, so physical registers change. *)
+let gen_step =
+  let open QCheck2.Gen in
+  let reg = int_range 1 20 and freg = int_range 0 5 in
+  let mem_size = oneofl Dts_isa.Instr.[ (Lsb, Sb, 1); (Luh, Sh, 2); (Lw, Sw, 4) ] in
+  let instr =
+    frequency
+      [
+        (6, map3 (fun a b d -> alu_rr a b d) reg reg reg);
+        (2, map3 (fun a b d -> alu_rr ~cc:true a b d) reg reg reg);
+        (1, map3 (fun a b d -> alu_rr ~op:Dts_isa.Instr.Smul a b d) reg reg reg);
+        (1, map2 (fun imm rd -> Dts_isa.Instr.Sethi { imm; rd }) (int_range 0 99) reg);
+        ( 3,
+          map3
+            (fun (l, _, _) rs1 rd -> Dts_isa.Instr.Load { size = l; rs1; op2 = Imm 0; rd })
+            mem_size reg reg );
+        ( 3,
+          map3
+            (fun (_, st, _) rs rs1 -> Dts_isa.Instr.Store { size = st; rs; rs1; op2 = Imm 0 })
+            mem_size reg reg );
+        (1, map2 (fun rs1 rd -> Dts_isa.Instr.Fload { rs1; op2 = Imm 0; rd }) reg freg);
+        (1, map2 (fun rd rs1 -> Dts_isa.Instr.Fstore { rd; rs1; op2 = Imm 0 }) freg reg);
+        ( 1,
+          map3
+            (fun rs1 rs2 rd -> Dts_isa.Instr.Fpop { op = Fadd; rs1; rs2; rd })
+            freg freg freg );
+        ( 2,
+          map
+            (fun cond -> Dts_isa.Instr.Branch { cond; target = 0x9000 })
+            (oneofl Dts_isa.Instr.[ E; NE; LE; G ]) );
+        (1, return (Dts_isa.Instr.Save { rs1 = 14; op2 = Imm (-96); rd = 14 }));
+        (1, return (Dts_isa.Instr.Restore { rs1 = 0; op2 = Imm 0; rd = 0 }));
+      ]
+  in
+  triple instr (int_range 0 15) (int_range 0 2)
+
+let retired_stream steps =
+  let cwp = ref 0 and addr = ref 0x1000 in
+  List.map
+    (fun (instr, off, extra) ->
+      let mem =
+        match instr with
+        | Dts_isa.Instr.Load { size; _ } ->
+          let n = Dts_isa.Instr.lsize_bytes size in
+          Some (0x8000 + (off land lnot (n - 1)), n)
+        | Store { size; _ } ->
+          let n = Dts_isa.Instr.ssize_bytes size in
+          Some (0x8000 + (off land lnot (n - 1)), n)
+        | Fload _ | Fstore _ -> Some (0x8000 + (off land lnot 3), 4)
+        | _ -> None
+      in
+      let r = ret ~cwp:!cwp ~addr:!addr ?mem instr in
+      addr := !addr + 4;
+      (match instr with
+      | Dts_isa.Instr.Save _ -> cwp := (!cwp + 31) mod 32
+      | Restore _ -> cwp := (!cwp + 1) mod 32
+      | _ -> ());
+      (r, extra))
+    steps
+
+(* What two units must agree on in a finished block: its rendering (ops,
+   renamings, COPY moves, tags, geometry), renaming-register counts, COPY
+   count, and each op's cross bit, order field and forwarded sources. *)
+let block_signature (b : block) =
+  ( Format.asprintf "%a" pp_block b,
+    Array.to_list b.rr_counts,
+    b.n_copies,
+    Array.to_list
+      (Array.map
+         (fun li ->
+           li_fold
+             (fun acc k op tag ->
+               (match op with
+               | Op s -> (k, tag, s.uid, s.cross, s.order, s.subs, s.reads)
+               | Copy c -> (k, tag, c.c_from, false, c.c_order, [], []))
+               :: acc)
+             [] li)
+         b.lis) )
+
+(* An op's position codes are the codes of its read set and of its
+   effective writes. *)
+let codes_consistent (b : block) =
+  Array.for_all
+    (fun li ->
+      li_fold
+        (fun ok _ op _ ->
+          ok
+          &&
+          match op with
+          | Op s ->
+            s.rcodes = Dts_isa.Storage.codes s.reads
+            && s.wcodes = Dts_isa.Storage.codes (slot_arch_writes op)
+          | Copy c ->
+            c.c_rcodes = Dts_isa.Storage.codes (slot_arch_reads op)
+            && c.c_wcodes = Dts_isa.Storage.codes (slot_arch_writes op))
+        true li)
+    b.lis
+
+let prop_matches_reference =
+  QCheck2.Test.make ~count:500
+    ~name:"summary-based unit = list-based reference"
+    ~print:(fun (cfg, steps) ->
+      Printf.sprintf "%dx%d %s; %s" cfg.Sched_unit.width cfg.height
+        (if cfg.slot_classes = None then "homogeneous" else "classes")
+        (String.concat "; "
+           (List.map
+              (fun (i, off, extra) ->
+                Printf.sprintf "%s@%d+%d" (Dts_isa.Disasm.to_string i) off extra)
+              steps)))
+    QCheck2.Gen.(pair gen_unit_config (list_size (int_range 1 60) gen_step))
+    (fun (cfg, steps) ->
+      let u = Sched_unit.create cfg and r = Ref_sched_unit.create cfg in
+      let same_blocks nba_addr =
+        match
+          (Sched_unit.finish_block u ~nba_addr, Ref_sched_unit.finish_block r ~nba_addr)
+        with
+        | None, None -> true
+        | Some a, Some b ->
+          codes_consistent a && block_signature a = block_signature b
+        | Some _, None | None, Some _ -> false
+      in
+      let tick () = Sched_unit.tick_decisions u = Ref_sched_unit.tick r in
+      let rec go = function
+        | [] -> same_blocks 0xFFFF
+        | (ret, extra) :: tl ->
+          List.for_all (fun () -> tick ()) (List.init (extra + 1) ignore)
+          && (match (Sched_unit.insert u ret, Ref_sched_unit.insert r ret) with
+             | `Ok, `Ok -> true
+             | `Full, `Full ->
+               same_blocks ret.addr
+               && Sched_unit.insert u ret = `Ok
+               && Ref_sched_unit.insert r ret = `Ok
+             | `Ok, `Full | `Full, `Ok -> false)
+          && Sched_unit.length u = Ref_sched_unit.length r
+          && go tl
+      in
+      go (retired_stream steps))
+
+(* ---- allocation per cycle (bound) ---- *)
+
+(* Minor-heap words per [tick] and per [insert] over a fixed retired
+   stream (the reference property's generator, fixed seed, on the 8x8
+   machine). An install allocates nothing, a move nothing unless its
+   branch tag changes, and an insert the new op and its candidate, so the
+   averages are set mostly by how often ops split: 12.9 words a tick and
+   45.1 an insert, where the list-based reference unit takes 183 and 181
+   on the same stream. Counts are deterministic, so this fails on a count,
+   not a timing. *)
+let alloc_per_call () =
+  let steps =
+    QCheck2.Gen.generate1 ~rand:(Random.State.make [| 7 |])
+      (QCheck2.Gen.list_repeat 4000 gen_step)
+  in
+  let stream = retired_stream steps in
+  let u = Sched_unit.create Sched_unit.default_config in
+  let tick_w = ref 0. and ticks = ref 0 and ins_w = ref 0. and inserts = ref 0 in
+  List.iter
+    (fun (r, extra) ->
+      for _ = 0 to extra do
+        let w0 = Gc.minor_words () in
+        Sched_unit.tick u;
+        tick_w := !tick_w +. (Gc.minor_words () -. w0);
+        incr ticks
+      done;
+      let w0 = Gc.minor_words () in
+      let res = Sched_unit.insert u r in
+      ins_w := !ins_w +. (Gc.minor_words () -. w0);
+      incr inserts;
+      match res with
+      | `Ok -> ()
+      | `Full ->
+        ignore (Sched_unit.finish_block u ~nba_addr:r.addr);
+        insert_ok u r)
+    stream;
+  (!tick_w /. float !ticks, !ins_w /. float !inserts)
+
+let test_alloc_per_call () =
+  let per_tick, per_insert = alloc_per_call () in
+  check_bool
+    (Printf.sprintf "%.2f words per tick, bound 15" per_tick)
+    true (per_tick <= 15.);
+  check_bool
+    (Printf.sprintf "%.2f words per insert, bound 48" per_insert)
+    true (per_insert <= 48.)
+
 let suite =
   [
     Alcotest.test_case "independent ops share li" `Quick
@@ -671,7 +904,10 @@ let suite =
     Alcotest.test_case "multicycle op never splits" `Quick
       test_multicycle_op_does_not_split;
     Alcotest.test_case "figure 2 schedule" `Quick test_fig2_schedule;
+    Alcotest.test_case "words per tick and per insert" `Quick
+      test_alloc_per_call;
     QCheck_alcotest.to_alcotest prop_signals_match_behaviour;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
     QCheck_alcotest.to_alcotest prop_block_invariants;
     QCheck_alcotest.to_alcotest prop_mem_orders_monotone;
   ]

@@ -17,22 +17,10 @@ let sop ?(cwp = 0) ?(taken = false) ?(next = -1) ?mem ?(order = -1)
   let reads, arch_writes =
     Dts_isa.Rwsets.of_instr ~nwindows:8 ~cwp ?mem instr
   in
-  {
-    uid = !uid;
-    instr;
-    addr;
-    cwp;
-    reads;
-    arch_writes;
-    obs_taken = taken;
-    obs_next_pc = (if next >= 0 then next else addr + 4);
-    obs_mem = mem;
-    order;
-    cross = order >= 0;
-    redirect;
-    subs;
-    fu = Dts_isa.Instr.fu_class instr;
-  }
+  make_sop ~uid:!uid ~instr ~addr ~cwp ~reads ~arch_writes ~obs_taken:taken
+    ~obs_next_pc:(if next >= 0 then next else addr + 4)
+    ~obs_mem:mem ~order ~cross:(order >= 0) ~redirect ~subs
+    ~fu:(Dts_isa.Instr.fu_class instr)
 
 let li_of ops =
   let li = li_create 8 in
@@ -98,7 +86,7 @@ let test_renamed_write_and_copy () =
       ~redirect:[ (Dts_isa.Storage.Int_reg p2, rr) ]
   in
   let copy =
-    Copy { c_moves = [ (rr, T_arch (Dts_isa.Storage.Int_reg p2)) ]; c_order = -1; c_from = 0 }
+    Copy (make_copy ~moves:[ (rr, T_arch (Dts_isa.Storage.Int_reg p2)) ] ~order:(-1) ~from:0 ())
   in
   let b = block_of [ li_of [ (Op op, 0) ]; li_of [ (copy, 0) ] ] in
   Dts_vliw.Engine.enter_block e b;
@@ -122,7 +110,7 @@ let test_counts_into_given_stats () =
       ~redirect:[ (Dts_isa.Storage.Int_reg p2, rr) ]
   in
   let copy =
-    Copy { c_moves = [ (rr, T_arch (Dts_isa.Storage.Int_reg p2)) ]; c_order = -1; c_from = 0 }
+    Copy (make_copy ~moves:[ (rr, T_arch (Dts_isa.Storage.Int_reg p2)) ] ~order:(-1) ~from:0 ())
   in
   let b = block_of [ li_of [ (Op op, 0) ]; li_of [ (copy, 0) ] ] in
   Dts_vliw.Engine.enter_block e b;
@@ -216,7 +204,7 @@ let test_deferred_exception_via_copy () =
       ~redirect:[ (Dts_isa.Storage.Int_reg p3, rr) ]
   in
   let copy =
-    Copy { c_moves = [ (rr, T_arch (Dts_isa.Storage.Int_reg p3)) ]; c_order = -1; c_from = 0 }
+    Copy (make_copy ~moves:[ (rr, T_arch (Dts_isa.Storage.Int_reg p3)) ] ~order:(-1) ~from:0 ())
   in
   let b = block_of [ li_of [ (Op ld, 0) ]; li_of [ (copy, 0) ] ] in
   Dts_vliw.Engine.enter_block e b;
