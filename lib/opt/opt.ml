@@ -85,16 +85,20 @@ let geometry_of_sched (c : SU.config) =
 let geometry_of_config (cfg : Dts_core.Config.t) =
   geometry_of_sched cfg.Dts_core.Config.sched
 
-(* Can one cycle host [counts] ops ([totals] in all)? Dedicated slots are
-   per-class; universal slots are the only shared resource. *)
-let caps_ok g counts total =
+
+(* Can one cycle host [counts.(off .. off + 3)] ops ([total] in all)?
+   Dedicated slots are per-class; universal slots are the only shared
+   resource. *)
+let caps_ok_at g counts off total =
   total <= g.g_width
   &&
   let spill = ref 0 in
   for c = 0 to 3 do
-    spill := !spill + max 0 (counts.(c) - g.g_ded.(c))
+    spill := !spill + max 0 (counts.(off + c) - g.g_ded.(c))
   done;
   !spill <= g.g_uni
+
+let caps_ok g counts total = caps_ok_at g counts 0 total
 
 (* ------------------------------------------------------------------ *)
 (* The constraint model                                                 *)
@@ -109,19 +113,28 @@ type node = {
   n_arch : bool;  (** architectural effect: unrenamed write or branch *)
 }
 
+(** The constraints as flat arrays: edge [j] of [m_pred_off.(v) <= j <
+    m_pred_off.(v + 1)] says every schedule needs
+    [li v >= li m_pred.(j) + m_pred_w.(j)]; [m_succ*] hold the same edges
+    grouped by source. Each (u, v) pair appears once, at its largest
+    weight. *)
 type model = {
   m_nodes : node array;
   m_fcfs : int;  (** long instructions of the block as built *)
   m_orig : int array;  (** the block's own assignment (node -> li index) *)
-  m_preds : (int * int) array array;
-      (** (u, w) in m_preds.(v): every schedule needs li v >= li u + w *)
-  m_succs : (int * int) array array;
+  m_pred_off : int array;
+  m_pred : int array;
+  m_pred_w : int array;
+  m_succ_off : int array;
+  m_succ : int array;
+  m_succ_w : int array;
   m_maxlat : int;
+  m_mem : int array;
+      (** the block's §3.10 events in node order, five ints each: node,
+          is_store (0/1), order field, address, size *)
 }
 
 let model_nodes m = Array.length m.m_nodes
-let model_fcfs m = m.m_fcfs
-let model_orig m = Array.copy m.m_orig
 
 (* Sort an int array in place: a merge sort comparing with [<] directly,
    several times faster than [Array.sort Int.compare] on the few hundred
@@ -160,6 +173,17 @@ let sort_ints a =
   in
   sort 0 (Array.length a)
 
+(* The model's nodes in (trace, node) order. *)
+let trace_order (m : model) =
+  let n = Array.length m.m_nodes in
+  let a = Array.init n (fun i -> (m.m_nodes.(i).n_trace * n) + i) in
+  sort_ints a;
+  for k = 0 to n - 1 do
+    let r = a.(k) mod n in
+    a.(k) <- (if r < 0 then r + n else r)
+  done;
+  a
+
 let node_of_slot lat op =
   let trace = match op with Op s -> s.uid | Copy c -> c.c_from in
   let branch =
@@ -181,35 +205,58 @@ let node_of_slot lat op =
     n_arch = arch;
   }
 
-let dummy_node =
-  node_of_slot Instr.unit_latencies (Copy (make_copy ~moves:[] ~order:(-1) ~from:0 ()))
+(* A growable int buffer. *)
+type buf = { mutable b_a : int array; mutable b_n : int }
 
-(* The §3.10 events of a node: its own load, its own unrenamed store, or
-   the store a COPY commits, passed to [f is_store order addr size] —
-   what the engine logs into the alias log at runtime. *)
-let iter_mem_events f op =
+let buf_push b x =
+  if b.b_n = Array.length b.b_a then begin
+    let a = Array.make (2 * b.b_n) 0 in
+    Array.blit b.b_a 0 a 0 b.b_n;
+    b.b_a <- a
+  end;
+  b.b_a.(b.b_n) <- x;
+  b.b_n <- b.b_n + 1
+
+(* The §3.10 events of node [i]: its own load, its own unrenamed store, or
+   the store a COPY commits, appended to [ev] as (i, is_store, order,
+   addr, size) — what the engine logs into the alias log at runtime. *)
+let push_event ev i is_store order addr size =
+  buf_push ev i;
+  buf_push ev (if is_store then 1 else 0);
+  buf_push ev order;
+  buf_push ev addr;
+  buf_push ev size
+
+let rec push_loads ev i order = function
+  | [] -> ()
+  | Storage.Mem { addr; size } :: tl ->
+    push_event ev i false order addr size;
+    push_loads ev i order tl
+  | _ :: tl -> push_loads ev i order tl
+
+let rec push_stores ev i order wcodes k = function
+  | [] -> ()
+  | w :: tl ->
+    (match w with
+    | Storage.Mem { addr; size } when wcodes.(k) = Storage.no_code ->
+      push_event ev i true order addr size
+    | _ -> ());
+    push_stores ev i order wcodes (k + 1) tl
+
+let rec push_copy_stores ev i order = function
+  | [] -> ()
+  | (_, T_arch (Storage.Mem { addr; size })) :: tl ->
+    push_event ev i true order addr size;
+    push_copy_stores ev i order tl
+  | _ :: tl -> push_copy_stores ev i order tl
+
+let push_mem_events ev i op =
   match op with
-  | Op s when Instr.is_load s.instr ->
-    List.iter
-      (function
-        | Storage.Mem { addr; size } -> f false s.order addr size | _ -> ())
-      s.reads
+  | Op s when Instr.is_load s.instr -> push_loads ev i s.order s.reads
   | Op s when Instr.is_store s.instr ->
-    List.iteri
-      (fun k w ->
-        match w with
-        | Storage.Mem { addr; size } when s.wcodes.(k) = Storage.no_code ->
-          f true s.order addr size
-        | _ -> ())
-      s.arch_writes
+    push_stores ev i s.order s.wcodes 0 s.arch_writes
   | Op _ -> ()
-  | Copy c ->
-    List.iter
-      (fun (_, t) ->
-        match t with
-        | T_arch (Storage.Mem { addr; size }) -> f true c.c_order addr size
-        | _ -> ())
-      c.c_moves
+  | Copy c -> push_copy_stores ev i c.c_order c.c_moves
 
 (* A growable list of constraint edges [li v >= li u + w]. *)
 type edges = {
@@ -237,18 +284,10 @@ let add_edge es u v w =
     es.e_n <- es.e_n + 1
   end
 
-(* A fresh array for [k] edges; most nodes have one to three, built as
-   literals without a call into the runtime. *)
-let edge_array k =
-  match k with
-  | 0 -> [||]
-  | 1 -> [| (0, 0) |]
-  | 2 -> [| (0, 0); (0, 0) |]
-  | 3 -> [| (0, 0); (0, 0); (0, 0) |]
-  | k -> Array.make k (0, 0)
-
 (* Each (u, v) pair once, at its largest weight: predecessor and successor
-   lists of [n] nodes. *)
+   arrays of [n] nodes, as (offsets, node, weight). A target's
+   predecessors keep the order of their first edges; a source's
+   successors come by target. *)
 let adjacency n es =
   (* bucket the edges by target *)
   let start = Array.make (n + 1) 0 in
@@ -265,73 +304,91 @@ let adjacency n es =
     by_v.(fill.(v)) <- i;
     fill.(v) <- fill.(v) + 1
   done;
-  (* [seen.(u) = v + 1] once (u, v) has a slot in [v]'s list, [best.(u)]
-     its weight so far *)
-  let seen = Array.make n 0 and best = Array.make n 0 in
-  let n_succs = Array.make n 0 in
-  let preds =
-    Array.init n (fun v ->
-        let k = ref 0 in
-        for j = start.(v) to start.(v + 1) - 1 do
-          let i = by_v.(j) in
-          let u = es.e_u.(i) and w = es.e_w.(i) in
-          if seen.(u) <> v + 1 then begin
-            seen.(u) <- v + 1;
-            best.(u) <- w;
-            incr k
-          end
-          else if w > best.(u) then best.(u) <- w
-        done;
-        let ps = edge_array !k in
-        k := 0;
-        for j = start.(v) to start.(v + 1) - 1 do
-          let u = es.e_u.(by_v.(j)) in
-          if seen.(u) = v + 1 then begin
-            (* the first occurrence takes the slot; mark it done *)
-            seen.(u) <- -(v + 1);
-            ps.(!k) <- (u, best.(u));
-            n_succs.(u) <- n_succs.(u) + 1;
-            incr k
-          end
-        done;
-        ps)
-  in
-  let succs = Array.map edge_array n_succs in
-  Array.fill n_succs 0 n 0;
+  (* [seen.(u) = v] once (u, v) is counted, [= n + v] once it has a slot,
+     [at.(u)] that slot *)
+  let seen = Array.make n (-1) and at = fill in
+  let pred_off = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    let ps = preds.(v) in
-    for j = 0 to Array.length ps - 1 do
-      let u, w = ps.(j) in
-      succs.(u).(n_succs.(u)) <- (v, w);
-      n_succs.(u) <- n_succs.(u) + 1
+    let k = ref 0 in
+    for j = start.(v) to start.(v + 1) - 1 do
+      let u = es.e_u.(by_v.(j)) in
+      if seen.(u) <> v then begin
+        seen.(u) <- v;
+        incr k
+      end
+    done;
+    pred_off.(v + 1) <- pred_off.(v) + !k
+  done;
+  let ne = pred_off.(n) in
+  let pred = Array.make ne 0 and pred_w = Array.make ne 0 in
+  let succ_off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    let k = ref pred_off.(v) in
+    for j = start.(v) to start.(v + 1) - 1 do
+      let i = by_v.(j) in
+      let u = es.e_u.(i) and w = es.e_w.(i) in
+      if seen.(u) <> n + v then begin
+        seen.(u) <- n + v;
+        at.(u) <- !k;
+        pred.(!k) <- u;
+        pred_w.(!k) <- w;
+        succ_off.(u + 1) <- succ_off.(u + 1) + 1;
+        incr k
+      end
+      else if w > pred_w.(at.(u)) then pred_w.(at.(u)) <- w
     done
   done;
-  (preds, succs)
+  for u = 1 to n do
+    succ_off.(u) <- succ_off.(u) + succ_off.(u - 1)
+  done;
+  let succ = Array.make ne 0 and succ_w = Array.make ne 0 in
+  Array.blit succ_off 0 at 0 n;
+  for v = 0 to n - 1 do
+    for j = pred_off.(v) to pred_off.(v + 1) - 1 do
+      let u = pred.(j) in
+      succ.(at.(u)) <- v;
+      succ_w.(at.(u)) <- pred_w.(j);
+      at.(u) <- at.(u) + 1
+    done
+  done;
+  (pred_off, pred, pred_w, succ_off, succ, succ_w)
 
 let model_of_block (lat : Instr.latencies) (b : block) =
   let n = Array.fold_left (fun a li -> a + li_count li) 0 b.lis in
-  let nodes = Array.make n dummy_node and orig = Array.make n 0 in
-  (* [na] counts the accesses to non-memory positions *)
-  let i = ref 0 and na = ref 0 in
+  let orig = Array.make n 0 and slot = Array.make n 0 in
+  let i = ref 0 in
   for li_idx = 0 to Array.length b.lis - 1 do
     let li = b.lis.(li_idx) in
     for j = 0 to li.n_filled - 1 do
-      match li.slots.(li.filled.(j)) with
-      | Some (op, _) ->
-        nodes.(!i) <- node_of_slot lat op;
-        orig.(!i) <- li_idx;
-        incr i;
-        Array.iter (fun c -> if c >= 0 then incr na) (slot_wcodes op);
-        Array.iter (fun c -> if c >= 0 then incr na) (slot_rcodes op)
-      | None -> ()
+      orig.(!i) <- li_idx;
+      slot.(!i) <- li.filled.(j);
+      incr i
+    done
+  done;
+  let nodes =
+    Array.init n (fun i ->
+        match b.lis.(orig.(i)).slots.(slot.(i)) with
+        | Some (op, _) -> node_of_slot lat op
+        | None -> invalid_arg "Dts_opt.Opt.model_of_block: empty filled slot")
+  in
+  (* [na] counts the accesses to non-memory positions *)
+  let na = ref 0 in
+  for i = 0 to n - 1 do
+    let op = nodes.(i).n_op in
+    let ws = slot_wcodes op and rs = slot_rcodes op in
+    for k = 0 to Array.length ws - 1 do
+      if ws.(k) >= 0 then incr na
+    done;
+    for k = 0 to Array.length rs - 1 do
+      if rs.(k) >= 0 then incr na
     done
   done;
   let na = !na in
   let es =
     {
-      e_u = Array.make ((8 * n) + 8) 0;
-      e_v = Array.make ((8 * n) + 8) 0;
-      e_w = Array.make ((8 * n) + 8) 0;
+      e_u = Array.make ((4 * n) + 16) 0;
+      e_v = Array.make ((4 * n) + 16) 0;
+      e_w = Array.make ((4 * n) + 16) 0;
       e_n = 0;
     }
   in
@@ -339,8 +396,41 @@ let model_of_block (lat : Instr.latencies) (b : block) =
      flags, the window pointer and renaming registers): the block's own
      placement names, for every position, which writer each reader
      observed — the model pins each reader between that writer and the
-     next one, and orders the writers themselves. Accesses are grouped by
-     position code by sorting them as [((code * n) + node) * 2 + is_read]. *)
+     next one, and orders the writers themselves. A position's writers are
+     walked in (li, trace) order, the newest node first on a tie: each
+     long instruction's nodes are ranked that way ([by_place] lists the
+     nodes by rank), and accesses are grouped by position code by sorting
+     them as [((code * n) + rank) * 2 + is_read]. Nodes come in li order,
+     so only each li's own nodes need ordering. *)
+  let by_place = Array.init n Fun.id in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = ref (!lo + 1) in
+    while !hi < n && orig.(!hi) = orig.(!lo) do
+      incr hi
+    done;
+    for k = !lo + 1 to !hi - 1 do
+      let x = by_place.(k) in
+      let tx = nodes.(x).n_trace in
+      let j = ref (k - 1) in
+      while
+        !j >= !lo
+        &&
+        let y = by_place.(!j) in
+        let ty = nodes.(y).n_trace in
+        tx < ty || (tx = ty && x > y)
+      do
+        by_place.(!j + 1) <- by_place.(!j);
+        decr j
+      done;
+      by_place.(!j + 1) <- x
+    done;
+    lo := !hi
+  done;
+  let rank = Array.make n 0 in
+  for r = 0 to n - 1 do
+    rank.(by_place.(r)) <- r
+  done;
   let accesses = Array.make na 0 in
   let j = ref 0 in
   for i = 0 to n - 1 do
@@ -350,17 +440,14 @@ let model_of_block (lat : Instr.latencies) (b : block) =
       for k = 0 to Array.length codes - 1 do
         let c = codes.(k) in
         if c >= 0 then begin
-          accesses.(!j) <- (((c * n) + i) * 2) + is_read;
+          accesses.(!j) <- (((c * n) + rank.(i)) * 2) + is_read;
           incr j
         end
       done
     done
   done;
   sort_ints accesses;
-  let by_place a b =
-    let c = Int.compare orig.(a) orig.(b) in
-    if c <> 0 then c else Int.compare nodes.(a).n_trace nodes.(b).n_trace
-  in
+  let ws = Array.make na 0 in
   let g = ref 0 in
   while !g < na do
     let code = accesses.(!g) / (2 * n) in
@@ -368,66 +455,62 @@ let model_of_block (lat : Instr.latencies) (b : block) =
     while !stop < na && accesses.(!stop) / (2 * n) = code do
       incr stop
     done;
-    (* the writers, newest node first, in (li, trace) order *)
-    let ws = ref [] in
+    (* the writers in (li, trace) order, each ordered after the last *)
+    let nw = ref 0 in
     for j = !g to !stop - 1 do
       let a = accesses.(j) in
-      if a land 1 = 0 then ws := (a / 2 mod n) :: !ws
+      if a land 1 = 0 then begin
+        ws.(!nw) <- by_place.(a / 2 mod n);
+        incr nw
+      end
     done;
-    let ws = List.sort by_place !ws in
-    let rec waw = function
-      | a :: (b :: _ as tl) ->
-        add_edge es a b 1;
-        waw tl
-      | _ -> ()
-    in
-    waw ws;
+    for k = 0 to !nw - 2 do
+      add_edge es ws.(k) ws.(k + 1) 1
+    done;
+    (* the writer each reader observed: the last one strictly above it
+       (reads happen at the start of a long instruction, writes commit at
+       the end) — and the next writer it must not sink past (same cycle is
+       fine, for the same reason). Readers come in li order, so the first
+       writer at or below the reader only moves down. *)
+    let p = ref 0 in
     for j = !g to !stop - 1 do
       let a = accesses.(j) in
       if a land 1 = 1 then begin
-        let r = a / 2 mod n in
-        (* the writer this reader observed: the last one strictly above
-           it (reads happen at the start of a long instruction, writes
-           commit at the end) — and the next writer it must not sink
-           past (same cycle is fine, for the same reason) *)
-        let prev = ref (-1) and next = ref (-1) and rest = ref ws in
-        while !next < 0 && match !rest with [] -> false | _ :: _ -> true do
-          match !rest with
-          | w :: tl ->
-            if orig.(w) < orig.(r) then prev := w else next := w;
-            rest := tl
-          | [] -> ()
+        let r = by_place.(a / 2 mod n) in
+        while !p < !nw && orig.(ws.(!p)) < orig.(r) do
+          incr p
         done;
-        if !prev >= 0 then add_edge es !prev r nodes.(!prev).n_lat;
-        (* a reader of the block-entry state, or of [prev]'s value, stays
-           at or above the next writer *)
-        if !next >= 0 then add_edge es r !next 0
+        if !p > 0 then begin
+          let w = ws.(!p - 1) in
+          add_edge es w r nodes.(w).n_lat
+        end;
+        (* a reader of the block-entry state, or of the previous writer's
+           value, stays at or above the next writer *)
+        if !p < !nw then add_edge es r ws.(!p) 0
       end
     done;
     g := !stop
   done;
   (* §3.10: overlapping memory events in order-field order, exactly the
      runtime predicate of Dts_vliw.Aliaslog.violates *)
-  let evs = ref [] in
-  Array.iteri
-    (fun i nd ->
-      iter_mem_events
-        (fun is_store order addr size ->
-          evs := (i, is_store, order, addr, size) :: !evs)
-        nd.n_op)
-    nodes;
-  let evs = Array.of_list (List.rev !evs) in
-  Array.iter
-    (fun (na, sa, oa, aa, za) ->
-      Array.iter
-        (fun (nb, sb, ob, ab, zb) ->
-          if na <> nb && oa < ob && aa < ab + zb && ab < aa + za then
-            match (sa, sb) with
-            | true, _ -> add_edge es na nb 1 (* store commits strictly first *)
-            | false, true -> add_edge es na nb 0 (* load may share the store's li *)
-            | false, false -> ())
-        evs)
-    evs;
+  let ev = { b_a = Array.make 40 0; b_n = 0 } in
+  for i = 0 to n - 1 do
+    push_mem_events ev i nodes.(i).n_op
+  done;
+  let evs = ev.b_a in
+  for x = 0 to (ev.b_n / 5) - 1 do
+    let ua = evs.(5 * x) and sa = evs.((5 * x) + 1) = 1 in
+    let oa = evs.((5 * x) + 2) and aa = evs.((5 * x) + 3) in
+    let za = evs.((5 * x) + 4) in
+    for y = 0 to (ev.b_n / 5) - 1 do
+      let ub = evs.(5 * y) and sb = evs.((5 * y) + 1) = 1 in
+      let ob = evs.((5 * y) + 2) and ab = evs.((5 * y) + 3) in
+      let zb = evs.((5 * y) + 4) in
+      if ua <> ub && oa < ob && aa < ab + zb && ab < aa + za then
+        if sa then add_edge es ua ub 1 (* store commits strictly first *)
+        else if sb then add_edge es ua ub 0 (* load may share the store's li *)
+    done
+  done;
   (* control: architectural effects never cross a conditional branch
      (same cycle is legal — the rebuilt branch tags squash the younger op
      on a mispredict); fully-renamed ops float freely, their committing
@@ -442,15 +525,20 @@ let model_of_block (lat : Instr.latencies) (b : block) =
           else add_edge es bidx i 0
       done
   done;
-  let preds, succs = adjacency n es in
+  let pred_off, pred, pred_w, succ_off, succ, succ_w = adjacency n es in
   {
     m_nodes = nodes;
     m_fcfs = Array.length b.lis;
     m_orig = orig;
-    m_preds = preds;
-    m_succs = succs;
+    m_pred_off = pred_off;
+    m_pred = pred;
+    m_pred_w = pred_w;
+    m_succ_off = succ_off;
+    m_succ = succ;
+    m_succ_w = succ_w;
     m_maxlat =
       Array.fold_left (fun a nd -> if nd.n_lat > a then nd.n_lat else a) 1 nodes;
+    m_mem = Array.sub evs 0 ev.b_n;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -465,22 +553,22 @@ let assignment_ok g (m : model) assign =
   for v = 0 to n - 1 do
     if assign.(v) < 0 then ok := false
     else
-      Array.iter
-        (fun (u, w) -> if assign.(u) + w > assign.(v) then ok := false)
-        m.m_preds.(v)
+      for j = m.m_pred_off.(v) to m.m_pred_off.(v + 1) - 1 do
+        if assign.(m.m_pred.(j)) + m.m_pred_w.(j) > assign.(v) then ok := false
+      done
   done;
   (if !ok && n > 0 then begin
      let maxc = Array.fold_left max 0 assign + 1 in
-     let counts = Array.make_matrix maxc 4 0 in
+     let counts = Array.make (4 * maxc) 0 in
      let totals = Array.make maxc 0 in
-     Array.iteri
-       (fun v c ->
-         let cl = fu_index m.m_nodes.(v).n_fu in
-         counts.(c).(cl) <- counts.(c).(cl) + 1;
-         totals.(c) <- totals.(c) + 1)
-       assign;
+     for v = 0 to n - 1 do
+       let c = assign.(v) in
+       let k = (4 * c) + fu_index m.m_nodes.(v).n_fu in
+       counts.(k) <- counts.(k) + 1;
+       totals.(c) <- totals.(c) + 1
+     done;
      for t = 0 to maxc - 1 do
-       if not (caps_ok g counts.(t) totals.(t)) then ok := false
+       if not (caps_ok_at g counts (4 * t) totals.(t)) then ok := false
      done
    end);
   !ok
@@ -499,6 +587,356 @@ type solution = {
 }
 
 let default_node_budget = 20_000
+
+(* Longest paths into every node along [off]/[src]/[wt] edges, by
+   relaxation to fixpoint: the graph has zero-weight cycles (mutually
+   same-cycle-constrained groups) but no positive cycle, so n+1 passes
+   converge. *)
+let longest_paths n off src wt arr =
+  let changed = ref true and passes = ref 0 in
+  while !changed do
+    changed := false;
+    incr passes;
+    if !passes > n + 2 then
+      failwith "Dts_opt.Opt.schedule: positive constraint cycle";
+    for v = 0 to n - 1 do
+      for j = off.(v) to off.(v + 1) - 1 do
+        let x = arr.(src.(j)) + wt.(j) in
+        if x > arr.(v) then begin
+          arr.(v) <- x;
+          changed := true
+        end
+      done
+    done
+  done
+
+(* The dominance memo: an open-addressing table from fixed-length byte
+   keys to cycles. The search fills [t_probe] in place and looks it up;
+   only an insert copies it, into [t_keys] at [entry * t_len]. *)
+type memo = {
+  t_probe : Bytes.t;
+  t_len : int;
+  mutable t_keys : Bytes.t;
+  mutable t_hash : int array;
+  mutable t_cycle : int array;
+  mutable t_count : int;
+  mutable t_slots : int array;  (** entry index or -1; a power of two long *)
+}
+
+let memo_create len =
+  {
+    t_probe = Bytes.create len;
+    t_len = len;
+    t_keys = Bytes.create (32 * len);
+    t_hash = Array.make 32 0;
+    t_cycle = Array.make 32 0;
+    t_count = 0;
+    t_slots = Array.make 64 (-1);
+  }
+
+(* The entry whose key equals the probe (hashed to [h]), or -1. *)
+let memo_find t h =
+  let mask = Array.length t.t_slots - 1 in
+  let i = ref (h land mask) and found = ref (-1) in
+  while !found < 0 && t.t_slots.(!i) >= 0 do
+    let e = t.t_slots.(!i) in
+    if t.t_hash.(e) = h then begin
+      let base = e * t.t_len and k = ref 0 in
+      while
+        !k < t.t_len
+        && Bytes.unsafe_get t.t_keys (base + !k) = Bytes.unsafe_get t.t_probe !k
+      do
+        incr k
+      done;
+      if !k = t.t_len then found := e
+    end;
+    if !found < 0 then i := (!i + 1) land mask
+  done;
+  !found
+
+let memo_slot t e =
+  let mask = Array.length t.t_slots - 1 in
+  let i = ref (t.t_hash.(e) land mask) in
+  while t.t_slots.(!i) >= 0 do
+    i := (!i + 1) land mask
+  done;
+  t.t_slots.(!i) <- e
+
+(* Add the probe, hashed to [h], at cycle [c]. *)
+let memo_add t h c =
+  let e = t.t_count in
+  if e = Array.length t.t_hash then begin
+    let keys = Bytes.create (2 * e * t.t_len) in
+    Bytes.blit t.t_keys 0 keys 0 (e * t.t_len);
+    t.t_keys <- keys;
+    let grow a =
+      let a' = Array.make (2 * e) 0 in
+      Array.blit a 0 a' 0 e;
+      a'
+    in
+    t.t_hash <- grow t.t_hash;
+    t.t_cycle <- grow t.t_cycle
+  end;
+  Bytes.blit t.t_probe 0 t.t_keys (e * t.t_len) t.t_len;
+  t.t_hash.(e) <- h;
+  t.t_cycle.(e) <- c;
+  t.t_count <- e + 1;
+  if 2 * t.t_count > Array.length t.t_slots then begin
+    t.t_slots <- Array.make (2 * Array.length t.t_slots) (-1);
+    for e = 0 to t.t_count - 1 do
+      memo_slot t e
+    done
+  end
+  else memo_slot t e
+
+(* Bytes per op in a dominance key: enough for the codes 0 .. maxlat + 1. *)
+let key_width maxlat =
+  let rec bytes x = if x < 256 then 1 else 1 + bytes (x lsr 8) in
+  bytes (maxlat + 1)
+
+(* The search proper, for a model whose static bound [base_lb] is below
+   its greedy length. The tree is the one described at the top: cycle by
+   cycle, the maximal subsets of the eligible ops in trace order. Nothing
+   is allocated per node: each cycle depth has its own eligibility and
+   slot-count buffers, the bound's inputs are kept up to date as ops are
+   placed and lifted, and a dominance key is hashed while it is written
+   into the memo's probe. *)
+let search ~node_budget g (m : model) cls est tail base_lb =
+  let n = Array.length m.m_nodes in
+  let width = g.g_width and fcfs = m.m_fcfs and maxlat = m.m_maxlat in
+  let pred_off = m.m_pred_off and pred = m.m_pred and pred_w = m.m_pred_w in
+  let slack = if !fault_weaken_pruning then 1 else 0 in
+  let order = trace_order m in
+  let cycle = Array.make n (-1) in
+  let best_len = ref fcfs in
+  let best = Array.copy m.m_orig in
+  let expanded = ref 0 in
+  let truncated = ref false in
+  let cut_min = ref max_int in
+  (* the bound's inputs: [cp] the latest [cycle + tail + 1] of a
+     scheduled op, [remc] the unscheduled ops per class *)
+  let cp = ref 0 and nsched = ref 0 in
+  let remc = Array.make 4 0 in
+  Array.iter (fun cl -> remc.(cl) <- remc.(cl) + 1) cls;
+  let cap = Array.init 4 (fun cl -> min width (g.g_ded.(cl) + g.g_uni)) in
+  (* lower bound on any completion of the current state at cycle [c]:
+     scheduled critical paths, remaining critical paths, and the resource
+     bound on what is left. A scheduled producer u of v adds nothing to
+     v's path: [cycle u + w + tail v <= cycle u + tail u], already in
+     [cp]. *)
+  let state_bound c =
+    let b = ref !cp in
+    for v = 0 to n - 1 do
+      if cycle.(v) < 0 then begin
+        let x = (if est.(v) > c then est.(v) else c) + tail.(v) + 1 in
+        if x > !b then b := x
+      end
+    done;
+    let rem = n - !nsched in
+    if rem > 0 then begin
+      let x = c + ((rem + width - 1) / width) in
+      if x > !b then b := x;
+      for cl = 0 to 3 do
+        let k = remc.(cl) in
+        if k > 0 then begin
+          let x = c + ((k + cap.(cl) - 1) / cap.(cl)) in
+          if x > !b then b := x
+        end
+      done
+    end;
+    !b
+  in
+  let place v c =
+    cycle.(v) <- c;
+    incr nsched;
+    remc.(cls.(v)) <- remc.(cls.(v)) - 1;
+    let x = c + tail.(v) + 1 in
+    if x > !cp then cp := x
+  in
+  let lift v ~cp0 =
+    cp := cp0;
+    remc.(cls.(v)) <- remc.(cls.(v)) + 1;
+    decr nsched;
+    cycle.(v) <- -1
+  in
+  (* dominance key: scheduled ops with their ages clamped at the latency
+     horizon (older producers constrain nothing), one code per op — 0
+     unscheduled, 1 clamped, age + 2 otherwise — in [kw] bytes each. Two
+     states with equal keys at cycles c' <= c admit exactly the same
+     continuations, shifted. *)
+  let kw = key_width maxlat in
+  let memo = memo_create (n * kw) in
+  let dominated c =
+    let key = memo.t_probe in
+    let h = ref 0 in
+    for i = 0 to n - 1 do
+      let v = cycle.(i) in
+      let code =
+        if v < 0 then 0
+        else
+          let age = c - v in
+          if age >= maxlat then 1 else age + 2
+      in
+      h := (!h * 31) + code;
+      if kw = 1 then Bytes.unsafe_set key i (Char.unsafe_chr code)
+      else
+        for k = 0 to kw - 1 do
+          Bytes.unsafe_set key ((i * kw) + k)
+            (Char.unsafe_chr ((code lsr (8 * k)) land 255))
+        done
+    done;
+    let h = !h lxor (!h lsr 29) in
+    let h = h * 0x5bd1e995 in
+    let h = (h lxor (h lsr 32)) land max_int in
+    let e = memo_find memo h in
+    if e >= 0 && memo.t_cycle.(e) <= c then true
+    else begin
+      if e >= 0 then memo.t_cycle.(e) <- c else memo_add memo h c;
+      false
+    end
+  in
+  (* eligible ops at cycle [c] into depth c's buffer, in trace order:
+     strict predecessors placed far enough above, zero-weight predecessors
+     placed or themselves eligible (zero-weight edges point trace-forward,
+     so one pass suffices); [elig.(v) = gen] marks this pass's *)
+  let elig = Array.make n 0 and gen = ref 0 in
+  let es_at = Array.make (fcfs + 1) [||] in
+  let eligible c =
+    incr gen;
+    if Array.length es_at.(c) = 0 then es_at.(c) <- Array.make n 0;
+    let es = es_at.(c) and gen = !gen in
+    let ne = ref 0 in
+    for k = 0 to n - 1 do
+      let v = order.(k) in
+      if cycle.(v) < 0 then begin
+        let ok = ref true and j = ref pred_off.(v) in
+        while !ok && !j < pred_off.(v + 1) do
+          let u = pred.(!j) and w = pred_w.(!j) in
+          if w > 0 then begin
+            if cycle.(u) < 0 || cycle.(u) + w > c then ok := false
+          end
+          else if cycle.(u) < 0 && elig.(u) <> gen then ok := false;
+          incr j
+        done;
+        if !ok then begin
+          elig.(v) <- gen;
+          es.(!ne) <- v;
+          incr ne
+        end
+      end
+    done;
+    !ne
+  in
+  (* slots taken at cycle depth c: dedicated per class at [4c + class],
+     universal at [c]; an op chosen at c is one with [cycle = c] *)
+  let used_ded = Array.make (4 * (fcfs + 1)) 0 in
+  let used_uni = Array.make (fcfs + 1) 0 in
+  let can_add c cl =
+    used_ded.((4 * c) + cl) < g.g_ded.(cl) || used_uni.(c) < g.g_uni
+  in
+  let zero_preds_placed v =
+    let ok = ref true and j = ref pred_off.(v) in
+    while !ok && !j < pred_off.(v + 1) do
+      if pred_w.(!j) = 0 && cycle.(pred.(!j)) < 0 then ok := false;
+      incr j
+    done;
+    !ok
+  in
+  let cut b =
+    if b < !cut_min then cut_min := b
+  in
+  let rec go c =
+    if !nsched = n then begin
+      let len = state_bound c in
+      if len < !best_len then begin
+        best_len := len;
+        Array.blit cycle 0 best 0 n
+      end
+    end
+    else begin
+      let b = state_bound c in
+      if b + slack >= !best_len then ()
+      else if !truncated then cut b
+      else if dominated c then ()
+      else begin
+        incr expanded;
+        if !expanded > node_budget then begin
+          truncated := true;
+          cut b
+        end
+        else begin
+          let ne = eligible c in
+          if ne = 0 then go (c + 1) (* forced stall *)
+          else begin
+            Array.fill used_ded (4 * c) 4 0;
+            used_uni.(c) <- 0;
+            choose c b ne 0
+          end
+        end
+      end
+    end
+  (* enumerate only subsets maximal among the eligible ops under the
+     slot-class capacities: some optimal schedule is cycle-wise maximal
+     (moving an addable op up to this cycle never hurts), so non-maximal
+     subsets are dead weight *)
+  and choose c b ne i =
+    if !truncated then cut b
+    else begin
+      incr expanded;
+      if !expanded > node_budget then begin
+        truncated := true;
+        cut b
+      end
+      else begin
+        let es = es_at.(c) in
+        if i = ne then begin
+          let maximal = ref true and j = ref 0 in
+          while !maximal && !j < ne do
+            let v = es.(!j) in
+            if cycle.(v) < 0 && can_add c cls.(v) && zero_preds_placed v then
+              maximal := false;
+            incr j
+          done;
+          if !maximal then go (c + 1)
+        end
+        else begin
+          let v = es.(i) in
+          let cl = cls.(v) in
+          let took = can_add c cl && zero_preds_placed v in
+          if took then begin
+            let k = (4 * c) + cl in
+            let ded = used_ded.(k) < g.g_ded.(cl) in
+            if ded then used_ded.(k) <- used_ded.(k) + 1
+            else used_uni.(c) <- used_uni.(c) + 1;
+            let cp0 = !cp in
+            place v c;
+            choose c b ne (i + 1);
+            lift v ~cp0;
+            if ded then used_ded.(k) <- used_ded.(k) - 1
+            else used_uni.(c) <- used_uni.(c) - 1
+          end;
+          if not !truncated then
+            if not took then choose c b ne (i + 1)
+            else if c + 1 + tail.(v) + 1 + slack < !best_len then
+              (* excluding v delays it to cycle c+1 at best *)
+              choose c b ne (i + 1)
+        end
+      end
+    end
+  in
+  go 0;
+  let lower =
+    if not !truncated then !best_len
+    else max base_lb (min !best_len !cut_min)
+  in
+  {
+    s_fcfs = fcfs;
+    s_lower = lower;
+    s_upper = !best_len;
+    s_exact = lower = !best_len;
+    s_nodes = !expanded;
+    s_schedule = best;
+  }
 
 let schedule ?(node_budget = default_node_budget) g (m : model) =
   let n = Array.length m.m_nodes in
@@ -519,30 +957,10 @@ let schedule ?(node_budget = default_node_budget) g (m : model) =
           invalid_arg
             "Dts_opt.Opt.schedule: the geometry has no slot for an op class")
       cls;
-    (* static longest-path bounds by relaxation to fixpoint: the graph has
-       zero-weight cycles (mutually same-cycle-constrained groups) but no
-       positive cycle, so n+1 passes converge *)
+    (* static longest-path bounds *)
     let est = Array.make n 0 and tail = Array.make n 0 in
-    let relax dir arr =
-      let changed = ref true and passes = ref 0 in
-      while !changed do
-        changed := false;
-        incr passes;
-        if !passes > n + 2 then
-          failwith "Dts_opt.Opt.schedule: positive constraint cycle";
-        for v = 0 to n - 1 do
-          Array.iter
-            (fun (u, w) ->
-              if arr.(u) + w > arr.(v) then begin
-                arr.(v) <- arr.(u) + w;
-                changed := true
-              end)
-            dir.(v)
-        done
-      done
-    in
-    relax m.m_preds est;
-    relax m.m_succs tail;
+    longest_paths n m.m_pred_off m.m_pred m.m_pred_w est;
+    longest_paths n m.m_succ_off m.m_succ m.m_succ_w tail;
     let width = g.g_width in
     let base_lb =
       let b = ref 0 in
@@ -570,224 +988,7 @@ let schedule ?(node_budget = default_node_budget) g (m : model) =
         s_nodes = 0;
         s_schedule = Array.copy m.m_orig;
       }
-    else begin
-      let maxlat = m.m_maxlat in
-      let cycle = Array.make n (-1) in
-      let nsched = ref 0 in
-      let best_len = ref m.m_fcfs in
-      let best = Array.copy m.m_orig in
-      let expanded = ref 0 in
-      let truncated = ref false in
-      let cut_min = ref max_int in
-      let memo : (string, int) Hashtbl.t = Hashtbl.create 64 in
-      let order = Array.init n Fun.id in
-      Array.sort
-        (fun a b ->
-          compare (m.m_nodes.(a).n_trace, a) (m.m_nodes.(b).n_trace, b))
-        order;
-      (* lower bound on any completion of the current state at cycle [c]:
-         scheduled critical paths, remaining critical paths tightened by
-         scheduled producers, and the resource bound on what is left *)
-      let state_bound c =
-        let b = ref 0 in
-        let rem = ref 0 in
-        let remc = [| 0; 0; 0; 0 |] in
-        for v = 0 to n - 1 do
-          if cycle.(v) >= 0 then begin
-            let x = cycle.(v) + tail.(v) + 1 in
-            if x > !b then b := x
-          end
-          else begin
-            incr rem;
-            remc.(cls.(v)) <- remc.(cls.(v)) + 1;
-            let e = ref (if est.(v) > c then est.(v) else c) in
-            Array.iter
-              (fun (u, w) ->
-                if cycle.(u) >= 0 && cycle.(u) + w > !e then e := cycle.(u) + w)
-              m.m_preds.(v);
-            let x = !e + tail.(v) + 1 in
-            if x > !b then b := x
-          end
-        done;
-        if !rem > 0 then begin
-          let x = c + ((!rem + width - 1) / width) in
-          if x > !b then b := x;
-          for cl = 0 to 3 do
-            if remc.(cl) > 0 then begin
-              let cap = min width (g.g_ded.(cl) + g.g_uni) in
-              let x = c + ((remc.(cl) + cap - 1) / cap) in
-              if x > !b then b := x
-            end
-          done
-        end;
-        !b
-      in
-      let prune_bound b = b + if !fault_weaken_pruning then 1 else 0 in
-      (* dominance key: scheduled ops with their ages clamped at the
-         latency horizon (older producers constrain nothing), unscheduled
-         ops as 255 — two states with equal keys at cycles c' <= c admit
-         exactly the same continuations, shifted *)
-      let key c =
-        let bts = Bytes.create n in
-        for i = 0 to n - 1 do
-          let v = cycle.(i) in
-          let byte =
-            if v < 0 then 255
-            else
-              let age = c - v in
-              if age >= maxlat then 254 else age
-          in
-          Bytes.unsafe_set bts i (Char.unsafe_chr byte)
-        done;
-        Bytes.unsafe_to_string bts
-      in
-      let rec go c =
-        if !nsched = n then begin
-          let len = state_bound c in
-          if len < !best_len then begin
-            best_len := len;
-            Array.blit cycle 0 best 0 n
-          end
-        end
-        else begin
-          let b = state_bound c in
-          if prune_bound b >= !best_len then ()
-          else if !truncated then begin
-            if b < !cut_min then cut_min := b
-          end
-          else begin
-            let k = key c in
-            match Hashtbl.find_opt memo k with
-            | Some c' when c' <= c -> ()
-            | _ ->
-              Hashtbl.replace memo k c;
-              incr expanded;
-              if !expanded > node_budget then begin
-                truncated := true;
-                if b < !cut_min then cut_min := b
-              end
-              else begin
-                (* eligible ops this cycle, in trace order: strict
-                   predecessors placed far enough above, zero-weight
-                   predecessors placed or themselves eligible (zero-weight
-                   edges point trace-forward, so one pass suffices) *)
-                let elig = Array.make n false in
-                let e_rev = ref [] in
-                Array.iter
-                  (fun v ->
-                    if cycle.(v) < 0 then begin
-                      let ok = ref true in
-                      Array.iter
-                        (fun (u, w) ->
-                          if w > 0 then begin
-                            if cycle.(u) < 0 || cycle.(u) + w > c then
-                              ok := false
-                          end
-                          else if cycle.(u) < 0 && not elig.(u) then ok := false)
-                        m.m_preds.(v);
-                      if !ok then begin
-                        elig.(v) <- true;
-                        e_rev := v :: !e_rev
-                      end
-                    end)
-                  order;
-                let es = Array.of_list (List.rev !e_rev) in
-                let ne = Array.length es in
-                if ne = 0 then go (c + 1) (* forced stall *)
-                else begin
-                  let pos = Array.make n (-1) in
-                  Array.iteri (fun i v -> pos.(v) <- i) es;
-                  let chosen = Array.make ne false in
-                  let used_ded = Array.make 4 0 in
-                  let used_uni = ref 0 in
-                  let can_add cl =
-                    used_ded.(cl) < g.g_ded.(cl) || !used_uni < g.g_uni
-                  in
-                  let preds_ok v =
-                    let ok = ref true in
-                    Array.iter
-                      (fun (u, w) ->
-                        if w = 0 && cycle.(u) < 0 && not chosen.(pos.(u)) then
-                          ok := false)
-                      m.m_preds.(v);
-                    !ok
-                  in
-                  (* enumerate only subsets maximal among the eligible ops
-                     under the slot-class capacities: some optimal schedule
-                     is cycle-wise maximal (moving an addable op up to this
-                     cycle never hurts), so non-maximal subsets are dead
-                     weight *)
-                  let rec choose i =
-                    if !truncated then begin
-                      if b < !cut_min then cut_min := b
-                    end
-                    else begin
-                      incr expanded;
-                      if !expanded > node_budget then begin
-                        truncated := true;
-                        if b < !cut_min then cut_min := b
-                      end
-                      else if i = ne then begin
-                        let maximal = ref true in
-                        for j = 0 to ne - 1 do
-                          if !maximal && not chosen.(j) then begin
-                            let v = es.(j) in
-                            if can_add cls.(v) && preds_ok v then
-                              maximal := false
-                          end
-                        done;
-                        if !maximal then go (c + 1)
-                      end
-                      else begin
-                        let v = es.(i) in
-                        let took = ref false in
-                        if can_add cls.(v) && preds_ok v then begin
-                          let cl = cls.(v) in
-                          let ded = used_ded.(cl) < g.g_ded.(cl) in
-                          if ded then used_ded.(cl) <- used_ded.(cl) + 1
-                          else incr used_uni;
-                          chosen.(i) <- true;
-                          cycle.(v) <- c;
-                          incr nsched;
-                          choose (i + 1);
-                          decr nsched;
-                          cycle.(v) <- -1;
-                          chosen.(i) <- false;
-                          if ded then used_ded.(cl) <- used_ded.(cl) - 1
-                          else decr used_uni;
-                          took := true
-                        end;
-                        if not !truncated then
-                          if not !took then choose (i + 1)
-                          else begin
-                            (* excluding v delays it to cycle c+1 at best *)
-                            let excl_lb = c + 1 + tail.(v) + 1 in
-                            if prune_bound excl_lb < !best_len then
-                              choose (i + 1)
-                          end
-                      end
-                    end
-                  in
-                  choose 0
-                end
-              end
-          end
-        end
-      in
-      go 0;
-      let lower =
-        if not !truncated then !best_len
-        else max base_lb (min !best_len !cut_min)
-      in
-      {
-        s_fcfs = m.m_fcfs;
-        s_lower = lower;
-        s_upper = !best_len;
-        s_exact = lower = !best_len;
-        s_nodes = !expanded;
-        s_schedule = Array.copy best;
-      }
-    end
+    else search ~node_budget g m cls est tail base_lb
   end
 
 (* ------------------------------------------------------------------ *)
@@ -806,7 +1007,7 @@ let exhaustive g (m : model) =
     let maxc = m.m_fcfs in
     let cls = Array.map (fun nd -> fu_index nd.n_fu) m.m_nodes in
     let cycle = Array.make n (-1) in
-    let used_ded = Array.make_matrix maxc 4 0 in
+    let used_ded = Array.make (4 * maxc) 0 in
     let used_uni = Array.make maxc 0 in
     let best = ref m.m_fcfs in
     let rec assign v =
@@ -817,23 +1018,24 @@ let exhaustive g (m : model) =
       else
         for t = 0 to min (maxc - 1) (!best - 2) do
           let cl = cls.(v) in
-          let ok =
-            ref (used_ded.(t).(cl) < g.g_ded.(cl) || used_uni.(t) < g.g_uni)
-          in
-          Array.iter
-            (fun (u, w) -> if cycle.(u) >= 0 && cycle.(u) + w > t then ok := false)
-            m.m_preds.(v);
-          Array.iter
-            (fun (x, w) -> if cycle.(x) >= 0 && t + w > cycle.(x) then ok := false)
-            m.m_succs.(v);
+          let k = (4 * t) + cl in
+          let ok = ref (used_ded.(k) < g.g_ded.(cl) || used_uni.(t) < g.g_uni) in
+          for j = m.m_pred_off.(v) to m.m_pred_off.(v + 1) - 1 do
+            let u = m.m_pred.(j) in
+            if cycle.(u) >= 0 && cycle.(u) + m.m_pred_w.(j) > t then ok := false
+          done;
+          for j = m.m_succ_off.(v) to m.m_succ_off.(v + 1) - 1 do
+            let x = m.m_succ.(j) in
+            if cycle.(x) >= 0 && t + m.m_succ_w.(j) > cycle.(x) then ok := false
+          done;
           if !ok then begin
-            let ded = used_ded.(t).(cl) < g.g_ded.(cl) in
-            if ded then used_ded.(t).(cl) <- used_ded.(t).(cl) + 1
+            let ded = used_ded.(k) < g.g_ded.(cl) in
+            if ded then used_ded.(k) <- used_ded.(k) + 1
             else used_uni.(t) <- used_uni.(t) + 1;
             cycle.(v) <- t;
             assign (v + 1);
             cycle.(v) <- -1;
-            if ded then used_ded.(t).(cl) <- used_ded.(t).(cl) - 1
+            if ded then used_ded.(k) <- used_ded.(k) - 1
             else used_uni.(t) <- used_uni.(t) - 1
           end
         done
@@ -850,23 +1052,21 @@ let exhaustive g (m : model) =
    universal slot otherwise (universal is the only shared pool, so
    dedicated-first is exact whenever the Hall condition holds). *)
 let pick_slot g li fu =
-  match g.g_classes with
-  | None ->
-    let k = li_free_slot li fu in
-    if k < 0 then invalid_arg "Dts_opt.Opt.rebuild: no free slot";
-    k
-  | Some classes ->
-    let rec scan pred k =
-      if k >= Array.length li.slots then None
-      else if li.slots.(k) = None && pred classes.(k) then Some k
-      else scan pred (k + 1)
-    in
-    (match scan (fun c -> c = Some fu) 0 with
-    | Some k -> k
-    | None -> (
-      match scan (fun c -> c = None) 0 with
-      | Some k -> k
-      | None -> invalid_arg "Dts_opt.Opt.rebuild: no free slot"))
+  let k =
+    match g.g_classes with
+    | None -> li_free_slot li fu
+    | Some classes ->
+      let ded = ref (-1) and uni = ref (-1) in
+      for k = Array.length li.slots - 1 downto 0 do
+        match (li.slots.(k), classes.(k)) with
+        | None, Some c when c = fu -> ded := k
+        | None, None -> uni := k
+        | _ -> ()
+      done;
+      if !ded >= 0 then !ded else !uni
+  in
+  if k < 0 then invalid_arg "Dts_opt.Opt.rebuild: no free slot";
+  k
 
 let store_like = function
   | Op s -> Instr.is_store s.instr
@@ -888,49 +1088,33 @@ let rebuild g (b : block) (m : model) assign =
   else begin
     let len = Array.fold_left (fun a c -> if c > a then c else a) 0 assign + 1 in
     let lis = Array.init len (fun _ -> li_create g.g_width) in
-    let by_cycle = Array.make len [] in
-    let order = Array.init n Fun.id in
-    (* trace-descending, so the per-cycle lists come out trace-ascending *)
-    Array.sort
-      (fun a b ->
-        let c = Int.compare m.m_nodes.(b).n_trace m.m_nodes.(a).n_trace in
-        if c <> 0 then c else Int.compare b a)
-      order;
-    Array.iter
-      (fun v -> by_cycle.(assign.(v)) <- v :: by_cycle.(assign.(v)))
-      order;
+    (* each long instruction filled in trace order; [nbr.(t)] counts its
+       branches so far, the tag of the next op *)
+    let nbr = Array.make len 0 and stores = Array.make len 0 in
+    let order = trace_order m in
+    for k = 0 to n - 1 do
+      let v = order.(k) in
+      let t = assign.(v) in
+      let nd = m.m_nodes.(v) in
+      li_fill lis.(t) (pick_slot g lis.(t) nd.n_fu) (nd.n_op, nbr.(t));
+      if nd.n_branch then nbr.(t) <- nbr.(t) + 1;
+      if store_like nd.n_op then stores.(t) <- stores.(t) + 1
+    done;
+    (* a memory op's cross bit: another store-like op shares its li *)
+    for v = 0 to n - 1 do
+      match m.m_nodes.(v).n_op with
+      | Op s when Instr.is_mem s.instr ->
+        let own = if Instr.is_store s.instr then 1 else 0 in
+        s.cross <- stores.(assign.(v)) - own > 0
+      | _ -> ()
+    done;
+    let max_li_ops = ref 0 in
     Array.iteri
-      (fun t vs ->
-        let li = lis.(t) in
-        let nbr = ref 0 in
-        List.iter
-          (fun v ->
-            let nd = m.m_nodes.(v) in
-            let k = pick_slot g li nd.n_fu in
-            li_fill li k (nd.n_op, !nbr);
-            if nd.n_branch then incr nbr)
-          vs;
-        li.n_branches <- !nbr)
-      by_cycle;
-    Array.iter
-      (fun li ->
-        let stores =
-          li_fold
-            (fun acc _ op _ -> if store_like op then op :: acc else acc)
-            [] li
-        in
-        li_iter
-          (fun _ op _ ->
-            match op with
-            | Op s when Instr.is_mem s.instr ->
-              s.cross <- List.exists (fun o -> o != op) stores
-            | _ -> ())
-          li)
+      (fun t li ->
+        li.n_branches <- nbr.(t);
+        if li_count li > !max_li_ops then max_li_ops := li_count li)
       lis;
-    let max_li_ops =
-      Array.fold_left (fun a li -> if li_count li > a then li_count li else a) 0 lis
-    in
-    { b with lis; nba_idx = len - 1; max_li_ops }
+    { b with lis; nba_idx = len - 1; max_li_ops = !max_li_ops }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -956,66 +1140,63 @@ let check_block g (lat : Instr.latencies) (b : block) =
   | Some classes ->
     Array.iteri
       (fun i li ->
-        li_iter
-          (fun k op _ ->
-            match classes.(k) with
-            | None -> ()
-            | Some c ->
-              if c <> slot_fu op then
-                err "li %d slot %d: %s op in a dedicated slot of another class"
-                  i k
-                  (Instr.show_fu_class (slot_fu op)))
-          li)
+        for j = 0 to li.n_filled - 1 do
+          let k = li.filled.(j) in
+          match (li.slots.(k), classes.(k)) with
+          | Some (op, _), Some c when c <> slot_fu op ->
+            err "li %d slot %d: %s op in a dedicated slot of another class" i k
+              (Instr.show_fu_class (slot_fu op))
+          | _ -> ()
+        done)
       b.lis);
   let m = model_of_block lat b in
   if not (assignment_ok g m m.m_orig) then
     err "schedule violates the dependence/latency/control/geometry model";
-  let trace op = match op with Op s -> s.uid | Copy c -> c.c_from in
-  let is_br = function
-    | Op s -> Instr.is_conditional_ctrl s.instr
-    | Copy _ -> false
-  in
+  (* branch tags: each op's tag counts the trace-earlier branches of its
+     li, whose traces [brs] holds *)
+  let brs = Array.make (Array.fold_left (fun a li -> max a (li_count li)) 0 b.lis) 0 in
+  let i = ref 0 in
   Array.iteri
-    (fun i li ->
-      let nbr = li_fold (fun a _ o _ -> if is_br o then a + 1 else a) 0 li in
-      if li.n_branches <> nbr then
-        err "li %d: n_branches %d but %d branches present" i li.n_branches nbr;
-      li_iter
-        (fun _ op tag ->
-          let expect =
-            li_fold
-              (fun a _ o _ -> if is_br o && trace o < trace op then a + 1 else a)
-              0 li
-          in
-          if tag <> expect then
-            err "li %d: tag %d on an op with %d trace-earlier branches" i tag
-              expect)
-        li)
+    (fun li_idx li ->
+      let lo = !i and nbr = ref 0 in
+      for j = 0 to li.n_filled - 1 do
+        let nd = m.m_nodes.(lo + j) in
+        if nd.n_branch then begin
+          brs.(!nbr) <- nd.n_trace;
+          incr nbr
+        end
+      done;
+      if li.n_branches <> !nbr then
+        err "li %d: n_branches %d but %d branches present" li_idx li.n_branches
+          !nbr;
+      for j = 0 to li.n_filled - 1 do
+        match li.slots.(li.filled.(j)) with
+        | Some (_, tag) ->
+          let t = m.m_nodes.(lo + j).n_trace in
+          let expect = ref 0 in
+          for x = 0 to !nbr - 1 do
+            if brs.(x) < t then incr expect
+          done;
+          if tag <> !expect then
+            err "li %d: tag %d on an op with %d trace-earlier branches" li_idx
+              tag !expect
+        | None -> ()
+      done;
+      i := lo + li.n_filled)
     b.lis;
-  (* the log is made at the block's first memory event *)
-  let log = ref None in
-  (try
-     Array.iteri
-       (fun li_idx li ->
-         li_iter
-           (fun _ op _ ->
-             iter_mem_events
-               (fun is_store order addr size ->
-                 let l =
-                   match !log with
-                   | Some l -> l
-                   | None ->
-                     let l = Dts_vliw.Aliaslog.create () in
-                     log := Some l;
-                     l
-                 in
-                 Dts_vliw.Aliaslog.log l ~addr ~size ~order ~li:li_idx
-                   ~is_store ~cross:false)
-               op)
-           li)
-       b.lis
-   with Dts_vliw.Aliaslog.Alias_violation ->
-     err "section-3.10 order violation (alias-log replay)");
+  (* the alias log replays the model's events, in block order *)
+  let ev = m.m_mem in
+  if Array.length ev > 0 then begin
+    let log = Dts_vliw.Aliaslog.create () in
+    try
+      for x = 0 to (Array.length ev / 5) - 1 do
+        Dts_vliw.Aliaslog.log log ~addr:ev.((5 * x) + 3) ~size:ev.((5 * x) + 4)
+          ~order:ev.((5 * x) + 2) ~li:m.m_orig.(ev.(5 * x))
+          ~is_store:(ev.((5 * x) + 1) = 1) ~cross:false
+      done
+    with Dts_vliw.Aliaslog.Alias_violation ->
+      err "section-3.10 order violation (alias-log replay)"
+  end;
   match !errs with
   | [] -> Ok ()
   | es -> Error (String.concat "; " (List.rev es))
