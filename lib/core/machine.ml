@@ -15,9 +15,14 @@ module Trace = Dts_obs.Trace
 exception
   Test_mode_mismatch of { cycle : int; pc : int; detail : string }
 
-type cached = { block : block; mutable plan : Dts_vliw.Plan.t option }
-(** A VLIW Cache line (§3.4): the scheduled block and, from its first
-    fetch on, the plan compiled from it. The plan leaves with the line. *)
+type cached = {
+  block : block;
+  words : int array;
+  mutable plan : Dts_vliw.Plan.t option;
+}
+(** A VLIW Cache line (§3.4): the scheduled block, its code words (the
+    block's keys in [code_index]) and, from its first fetch on, the plan
+    compiled from it. The plan leaves with the line. *)
 
 type vstate = { mutable block : block; mutable idx : int }
 (** named, not inline: [run]'s burst loop passes the record to a helper *)
@@ -77,24 +82,38 @@ let default_scheduler cfg =
 
 (* --- code-index bookkeeping --- *)
 
-(* Distinct code word addresses a block was scheduled from. *)
+(* Distinct code word addresses a block was scheduled from, ascending.
+   Computed once, when the block is installed, and kept in its VLIW Cache
+   line for the drop. *)
 let block_words (b : block) =
-  let seen = Hashtbl.create 32 in
+  let ws = Array.make (Array.fold_left (fun a li -> a + li_count li) 0 b.lis) 0 in
+  let n = ref 0 in
   Array.iter
     (fun li ->
       li_iter
         (fun _ op _ ->
           match op with
           | Op s ->
-            let w = s.addr land lnot 3 in
-            if not (Hashtbl.mem seen w) then Hashtbl.replace seen w ()
+            ws.(!n) <- s.addr land lnot 3;
+            incr n
           | Copy _ -> ())
         li)
     b.lis;
-  Hashtbl.fold (fun w () acc -> w :: acc) seen []
+  let ws = Array.sub ws 0 !n in
+  sort_ints ws;
+  let k = ref 0 in
+  Array.iter
+    (fun w ->
+      if !k = 0 || w <> ws.(!k - 1) then begin
+        ws.(!k) <- w;
+        incr k
+      end)
+    ws;
+  Array.sub ws 0 !k
 
-let register_block_words t (b : block) =
-  List.iter
+let register_block_words t (c : cached) =
+  let tag = c.block.tag_addr in
+  Array.iter
     (fun w ->
       (* the SMC hook below is a watched hook: make sure every page hosting
          an installed block's code words is under write watch (normally
@@ -102,21 +121,22 @@ let register_block_words t (b : block) =
          store, which watches as it caches) *)
       Dts_mem.Memory.watch t.st.mem w;
       match Hashtbl.find_opt t.code_index w with
-      | Some r -> if not (List.mem b.tag_addr !r) then r := b.tag_addr :: !r
-      | None -> Hashtbl.add t.code_index w (ref [ b.tag_addr ]))
-    (block_words b)
+      | Some r -> if not (List.mem tag !r) then r := tag :: !r
+      | None -> Hashtbl.add t.code_index w (ref [ tag ]))
+    c.words
 
 (* Fired by the VLIW Cache whenever a block leaves it (replacement,
    eviction, invalidation): its code words stop mapping to its tag. *)
-let on_block_drop t (b : block) =
-  List.iter
+let on_block_drop t (c : cached) =
+  let tag = c.block.tag_addr in
+  Array.iter
     (fun w ->
       match Hashtbl.find_opt t.code_index w with
       | None -> ()
       | Some r ->
-        r := List.filter (fun tag -> tag <> b.tag_addr) !r;
+        r := List.filter (fun x -> x <> tag) !r;
         if !r = [] then Hashtbl.remove t.code_index w)
-    (block_words b)
+    c.words
 
 (* Memory write hook: a store overlapping a cached block's code makes the
    block (and its plan) stale — drop it so the next probe misses and the
@@ -178,7 +198,7 @@ let create ?(compile = true) ?scheduler ?(tracer = Trace.null) cfg program =
       tracer;
     }
   in
-  Dts_mem.Blockcache.set_on_drop t.vcache (fun _key c -> on_block_drop t c.block);
+  Dts_mem.Blockcache.set_on_drop t.vcache (fun _key c -> on_block_drop t c);
   (* registered after the golden state was copied, so only this machine's
      memory notifies (the golden machine executes unmodified semantics on
      its own copy). A watched hook: {!register_block_words} puts every page
@@ -290,14 +310,12 @@ let install_ready_blocks t =
     Queue.iter
       (fun ((c, b) as pending) ->
         if c <= t.cycles then begin
-          (match
-             Dts_mem.Blockcache.insert t.vcache b.tag_addr
-               { block = b; plan = None }
-           with
+          let line = { block = b; words = block_words b; plan = None } in
+          (match Dts_mem.Blockcache.insert t.vcache b.tag_addr line with
           | Some evicted when tracing t ->
             trace t (Trace.Block_evict { tag = evicted.block.tag_addr })
           | Some _ | None -> ());
-          register_block_words t b;
+          register_block_words t line;
           if tracing t then trace t (Trace.Block_install { tag = b.tag_addr })
         end
         else Queue.add pending waiting)

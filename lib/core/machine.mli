@@ -14,9 +14,14 @@ exception Test_mode_mismatch of { cycle : int; pc : int; detail : string }
 
 type cached = {
   block : Dts_sched.Schedtypes.block;
+  words : int array;
+      (** the distinct code word addresses [block] was scheduled from,
+          ascending: computed once at install, they key the
+          self-modifying-code index until the line is dropped *)
   mutable plan : Dts_vliw.Plan.t option;
 }
-(** A VLIW Cache line (§3.4): the scheduled block and the execution plan
+(** A VLIW Cache line (§3.4): the scheduled block, its code words and the
+    execution plan
     compiled from it. The plan is compiled on the line's first fetch (when
     the machine compiles; see [~compile] of {!create}) and stays in the
     line, so it leaves the cache with the block: an evicted or invalidated

@@ -19,12 +19,15 @@
     entirely — the watched-page test is part of the memory's own write
     path.
 
-    Decoded entries are held in per-page arrays (1024 instruction slots per
-    4 KiB page) with a one-page lookaside, so the hot path — refetching the
-    instruction the PC pointed at a moment ago — is an integer compare, an
-    array load and a tag check. *)
+    Decoded entries are held in per-page arrays (256 instruction slots per
+    1 KiB of code) with a one-page lookaside, so the hot path — refetching
+    the instruction the PC pointed at a moment ago — is an integer compare,
+    an array load and a tag check. Pages are 256 slots so that each of
+    their two arrays stays in the minor heap (arrays above 256 words are
+    allocated directly in the major heap): a short program's handful of
+    code pages then costs its machine's set-up almost nothing. *)
 
-let page_bits = 12
+let page_bits = 10
 let page_size = 1 lsl (page_bits - 2) (* instruction slots per page *)
 let page_mask = (1 lsl page_bits) - 1
 

@@ -32,17 +32,21 @@ type t = {
      wrote since the previous successful compare instead of walking the
      whole windowed register file. The journal is conservative: an
      overflow flips [dirty_all] and the next comparison falls back to the
-     full scan. A state starts with [dirty_all] set — journaling off —
-     because standalone engines (golden runs, Primary-only benchmarks)
-     never compare and should not pay the per-write journal append; the
-     co-simulation turns journaling on by calling {!dirty_clear} on both
-     states at the moment it establishes their equality. *)
-  dirty_idx : int array;
+     full scan. The journal starts at 64 entries and doubles on demand up
+     to [max_dirty]: a fresh state keeps it in the minor heap, and only a
+     state whose syncs are far apart pays for a long one. A state starts
+     with [dirty_all] set — journaling off — because standalone engines
+     (golden runs, Primary-only benchmarks) never compare and should not
+     pay the per-write journal append; the co-simulation turns journaling
+     on by calling {!dirty_clear} on both states at the moment it
+     establishes their equality. *)
+  mutable dirty_idx : int array;
   mutable n_dirty : int;
   mutable dirty_all : bool;
 }
 
 let n_visible = 32
+let max_dirty = 1024
 let n_globals = 8
 
 let create ?(nwindows = 32) ?mem () =
@@ -61,7 +65,7 @@ let create ?(nwindows = 32) ?mem () =
     instret = 0;
     halted = false;
     traps = 0;
-    dirty_idx = Array.make 1024 0;
+    dirty_idx = Array.make 64 0;
     n_dirty = 0;
     dirty_all = true;
   }
@@ -101,6 +105,19 @@ let phys_fast_of st ~cwp r = phys_fast ~nwindows:st.nwindows ~cwp r
 let get_reg st ~cwp r =
   if r = 0 then 0 else st.iregs.(phys_of st ~cwp r)
 
+(* A full journal: double it, or past [max_dirty] give up journalling
+   until the next {!dirty_clear}. *)
+let journal_full st i =
+  let n = st.n_dirty in
+  if n >= max_dirty then st.dirty_all <- true
+  else begin
+    let d = Array.make (2 * n) 0 in
+    Array.blit st.dirty_idx 0 d 0 n;
+    Array.unsafe_set d n i;
+    st.dirty_idx <- d;
+    st.n_dirty <- n + 1
+  end
+
 (* Journal a write of physical index [i] ([n_iregs + f] for an freg).
    Every architectural register write funnels through {!set_phys} /
    {!set_freg}, so the journal is complete; on overflow the state just
@@ -112,7 +129,7 @@ let[@inline] mark_dirty st i =
       Array.unsafe_set st.dirty_idx n i;
       st.n_dirty <- n + 1
     end
-    else st.dirty_all <- true
+    else journal_full st i
   end
 
 let get_phys st p = if p = 0 then 0 else st.iregs.(p)

@@ -1,5 +1,6 @@
-(* Flat direct-mapped paged memory. 4 KiB pages held in a page directory
-   indexed by [addr lsr 12]; big-endian contents.
+(* Sparse paged memory. 4 KiB pages held in a two-level directory indexed
+   by [addr lsr 12] (top level: 1 MiB regions; leaves: their 256 pages),
+   with a one-entry lookaside in front; big-endian contents.
 
    Pages are [Bytes.t], deliberately: page equality is the hot operation of
    the batched co-simulation sync, and [Bytes.equal] is a C [memcmp], an
@@ -13,24 +14,54 @@ let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
 let addr_mask = 0xFFFFFFFF
 
-(* The 32-bit address space is 2^20 pages. The directory starts at 4096
-   entries — enough for the whole conventional [Layout] map (16 MiB) — and
-   doubles on demand up to the full space, so a deliberate store near
-   0xFFFFFFFC costs one directory growth instead of every memory paying
-   for the full space up front. *)
+(* The 32-bit address space is 2^20 pages, held in a two-level sparse
+   directory: a top-level array of leaves, each leaf covering [leaf_size]
+   consecutive pages (1 MiB of address space). A leaf carries, per page,
+   the page buffer and one metadata int (dirty stamp and watch bit), and
+   is created on the first write or watch in its region; every other
+   top-level entry is the shared, never-written [empty_leaf]. The top
+   level starts at 16 leaves — the whole conventional [Layout] map
+   (16 MiB) — and doubles on demand up to the full space. A fresh memory
+   therefore allocates about a hundred words, all in the minor heap, and
+   the whole-memory walks ({!copy}, {!equal}, {!first_difference}) skip
+   absent regions a megabyte at a time. Leaves are 256 entries so that
+   each of their arrays still fits the minor heap (arrays above 256
+   words are allocated directly in the major heap). *)
 let max_pages = 1 lsl (32 - page_bits)
-let initial_pages = 4096
+let leaf_bits = 8
+let leaf_size = 1 lsl leaf_bits
+let leaf_mask = leaf_size - 1
+let max_leaves = max_pages / leaf_size
+let initial_leaves = 16
 
 type page = Bytes.t
 
 let make_page () : page = Bytes.make page_size '\000'
 
-(* Shared all-zero page: the directory entry of every never-written page.
-   Reads serve from it; the first write to a page replaces it with a fresh
-   buffer ({!materialise}). It never enters the one-entry lookaside — the
+(* Shared all-zero page: the entry of every never-written page. Reads
+   serve from it; the first write to a page replaces it with a fresh
+   buffer ({!page_rw}). It never enters the one-entry lookaside — the
    lookaside is a write-through cache and [zero_page] must never be
    written. *)
 let zero_page : page = make_page ()
+
+type leaf = {
+  pages : page array;  (** [zero_page] = never written *)
+  meta : int array;
+      (** per page, [(stamp lsl 1) lor watched]: [stamp = gen] iff the page
+          is in the current dirty list; [watched] = write hooks fire for
+          stores into it. Pages hosting pre-decoded code or installed
+          blocks are watched by their consumers; ordinary data stores skip
+          hook dispatch entirely. *)
+}
+
+let make_leaf () =
+  { pages = Array.make leaf_size zero_page; meta = Array.make leaf_size 0 }
+
+(* Shared leaf of every absent region: all pages [zero_page], no stamp
+   (generations start at 1), nothing watched. Never written — {!leaf_rw}
+   replaces it before any page or metadata store. *)
+let empty_leaf = make_leaf ()
 
 (* Unaligned native-endian 16/32-bit access primitives over [Bytes.t], and
    the byte swaps that turn them big-endian. These compile to single
@@ -48,15 +79,7 @@ external swap32 : int32 -> int32 = "%bswap_int32"
 exception Misaligned of int
 
 type t = {
-  mutable dir : page array;  (** page index -> page; [zero_page] = absent *)
-  mutable watched : Bytes.t;
-      (** per-page watch bits, parallel to [dir]: write hooks fire only for
-          stores into watched pages. Pages hosting pre-decoded code or
-          installed blocks are watched by their consumers; ordinary data
-          stores skip hook dispatch entirely. *)
-  mutable stamp : int array;
-      (** per-page dirty generation stamp, parallel to [dir]:
-          [stamp.(ix) = gen] iff page [ix] is in the current dirty list *)
+  mutable dir : leaf array;  (** leaf index -> leaf; [empty_leaf] = absent *)
   mutable dirty : int array;  (** page indices written in generation [gen] *)
   mutable dirty_n : int;
   mutable gen : int;
@@ -65,6 +88,10 @@ type t = {
           enter the lookaside — never the shared [zero_page], which a later
           first write to the same page would silently shadow *)
   mutable last_page : page;
+  mutable last_leaf : leaf;
+      (** the leaf holding [last_page]: a store resolves its page through
+          the lookaside and reads the page's metadata from here, so a hit
+          walks no directory *)
   mutable write_hooks : (int -> unit) list;
       (** notified with the byte address of every observed mutation made
           through {!write} / {!load_bytes}; a naturally aligned write never
@@ -75,19 +102,30 @@ type t = {
           everything — today, when the memory is {!copy}ed *)
 }
 
-let create () =
+let make dir =
   {
-    dir = Array.make initial_pages zero_page;
-    watched = Bytes.make initial_pages '\000';
-    stamp = Array.make initial_pages 0;
+    dir;
     dirty = Array.make 64 0;
     dirty_n = 0;
     gen = 1;
     last_ix = -1;
     last_page = zero_page;
+    last_leaf = empty_leaf;
     write_hooks = [];
     reset_hooks = [];
   }
+
+let create () = make (Array.make initial_leaves empty_leaf)
+
+(* A leaf's pages, copied; watch bits and stamps are not carried over. *)
+let copy_leaf l =
+  if l == empty_leaf then empty_leaf
+  else
+    {
+      pages =
+        Array.map (fun p -> if p == zero_page then zero_page else Bytes.copy p) l.pages;
+      meta = Array.make leaf_size 0;
+    }
 
 let copy m =
   (* Hooks are observers of the *original* memory; the copy starts clean and
@@ -96,24 +134,10 @@ let copy m =
      plans) that a caller wrongly re-attaches to the copy could serve stale
      entries without ever being invalidated — so tell every derived cache on
      the source to flush at the fork point. Rebuilding is cheap;
-     serving a stale decode is not. *)
+     serving a stale decode is not. The copy's lookaside starts cold: it
+     must never alias a page of the source. *)
   List.iter (fun f -> f ()) m.reset_hooks;
-  let n = Array.length m.dir in
-  {
-    dir =
-      Array.map (fun p -> if p == zero_page then zero_page else Bytes.copy p) m.dir;
-    watched = Bytes.make n '\000';
-    stamp = Array.make n 0;
-    dirty = Array.make 64 0;
-    dirty_n = 0;
-    gen = 1;
-    (* the lookaside starts cold: it must never alias a page of the
-       source *)
-    last_ix = -1;
-    last_page = zero_page;
-    write_hooks = [];
-    reset_hooks = [];
-  }
+  make (Array.map copy_leaf m.dir)
 
 let add_watched_write_hook m f = m.write_hooks <- f :: m.write_hooks
 let add_reset_hook m f = m.reset_hooks <- f :: m.reset_hooks
@@ -124,85 +148,105 @@ let notify_write m addr =
   | [ f ] -> f addr
   | fs -> List.iter (fun f -> f addr) fs
 
-(* Grow the directory (and its parallel watch/stamp metadata) to cover page
-   index [ix]. *)
-let grow m ix =
-  if ix >= max_pages then invalid_arg "Memory: page index out of range";
+(* The leaf covering leaf index [li], [empty_leaf] when absent. *)
+let[@inline] leaf_at m li =
+  if li < Array.length m.dir then Array.unsafe_get m.dir li else empty_leaf
+
+(* The page at page index [ix], [zero_page] when never written. *)
+let[@inline] page_at m ix =
+  Array.unsafe_get (leaf_at m (ix lsr leaf_bits)).pages (ix land leaf_mask)
+
+(* Grow the top level to cover leaf index [li]. *)
+let grow m li =
+  if li >= max_leaves then invalid_arg "Memory: page index out of range";
   let old = Array.length m.dir in
   let n = ref old in
-  while !n <= ix do
-    n := min max_pages (!n * 2)
+  while !n <= li do
+    n := min max_leaves (!n * 2)
   done;
-  let n = !n in
-  let dir = Array.make n zero_page in
+  let dir = Array.make !n empty_leaf in
   Array.blit m.dir 0 dir 0 old;
-  let watched = Bytes.make n '\000' in
-  Bytes.blit m.watched 0 watched 0 old;
-  let stamp = Array.make n 0 in
-  Array.blit m.stamp 0 stamp 0 old;
-  m.dir <- dir;
-  m.watched <- watched;
-  m.stamp <- stamp
+  m.dir <- dir
+
+(* The leaf covering leaf index [li], created if absent: the only way to
+   a leaf that may be written. *)
+let leaf_rw m li =
+  if li >= Array.length m.dir then grow m li;
+  let l = Array.unsafe_get m.dir li in
+  if l != empty_leaf then l
+  else begin
+    let l = make_leaf () in
+    Array.unsafe_set m.dir li l;
+    l
+  end
 
 let watch m addr =
   let ix = (addr land addr_mask) lsr page_bits in
-  if ix >= Array.length m.dir then grow m ix;
-  Bytes.unsafe_set m.watched ix '\001'
+  let l = leaf_rw m (ix lsr leaf_bits) and s = ix land leaf_mask in
+  Array.unsafe_set l.meta s (Array.unsafe_get l.meta s lor 1)
 
-(* Append page [ix] to the dirty list of the current generation. *)
-let[@inline] push_dirty m ix =
-  if Array.unsafe_get m.stamp ix <> m.gen then begin
-    Array.unsafe_set m.stamp ix m.gen;
-    let n = m.dirty_n in
-    if n >= Array.length m.dirty then begin
-      let d = Array.make (2 * n) 0 in
-      Array.blit m.dirty 0 d 0 n;
-      m.dirty <- d
-    end;
-    Array.unsafe_set m.dirty n ix;
-    m.dirty_n <- n + 1
-  end
+let watched m ix =
+  Array.unsafe_get (leaf_at m (ix lsr leaf_bits)).meta (ix land leaf_mask)
+  land 1
+  <> 0
 
-(* Record that page [ix] was written: journal it and dispatch hooks if the
-   page is watched. *)
+(* Append page [ix] to the dirty list of the current generation; its
+   metadata [meta] (not yet stamped with [gen]) sits at [l.meta.(s)]. *)
+let journal m l s meta ix =
+  Array.unsafe_set l.meta s ((m.gen lsl 1) lor (meta land 1));
+  let n = m.dirty_n in
+  if n >= Array.length m.dirty then begin
+    let d = Array.make (2 * n) 0 in
+    Array.blit m.dirty 0 d 0 n;
+    m.dirty <- d
+  end;
+  Array.unsafe_set m.dirty n ix;
+  m.dirty_n <- n + 1
+
+(* Record that page [ix] was written: journal it unless already in this
+   generation's list, and dispatch hooks if the page is watched. Reads the
+   page's metadata through [last_leaf], so it must follow a {!page_rw} of
+   the same page. *)
 let[@inline] note_write m ix addr =
-  push_dirty m ix;
-  if Bytes.unsafe_get m.watched ix <> '\000' then notify_write m addr
+  let l = m.last_leaf and s = ix land leaf_mask in
+  let meta = Array.unsafe_get l.meta s in
+  if meta lsr 1 <> m.gen then journal m l s meta ix;
+  if meta land 1 <> 0 then notify_write m addr
 
 (* Page resolution with a one-entry lookaside over materialised pages. A
    naturally aligned access never crosses a page, so every read/write below
    resolves its page exactly once — the common case is an integer compare
-   and two loads. *)
-
-let materialise m ix =
-  if ix >= Array.length m.dir then grow m ix;
-  let p = Array.unsafe_get m.dir ix in
-  if p != zero_page then p
-  else begin
-    let p = make_page () in
-    Array.unsafe_set m.dir ix p;
-    p
-  end
+   and two loads; only a miss walks the directory. *)
 
 let page_ro m ix =
   if ix = m.last_ix then m.last_page
-  else if ix < Array.length m.dir then begin
-    let p = Array.unsafe_get m.dir ix in
-    if p == zero_page then zero_page
-    else begin
+  else begin
+    let l = leaf_at m (ix lsr leaf_bits) in
+    let p = Array.unsafe_get l.pages (ix land leaf_mask) in
+    if p != zero_page then begin
       m.last_ix <- ix;
       m.last_page <- p;
-      p
-    end
+      m.last_leaf <- l
+    end;
+    p
   end
-  else zero_page
 
 let page_rw m ix =
   if ix = m.last_ix then m.last_page
   else begin
-    let p = materialise m ix in
+    let l = leaf_rw m (ix lsr leaf_bits) and s = ix land leaf_mask in
+    let p = Array.unsafe_get l.pages s in
+    let p =
+      if p != zero_page then p
+      else begin
+        let p = make_page () in
+        Array.unsafe_set l.pages s p;
+        p
+      end
+    in
     m.last_ix <- ix;
     m.last_page <- p;
+    m.last_leaf <- l;
     p
   end
 
@@ -304,7 +348,9 @@ let load_bytes m ~addr s =
       set8 p (a land page_mask) (Char.code c);
       (* journal without hook dispatch; notifications below are
          word-granular *)
-      push_dirty m ix)
+      let l = m.last_leaf and s = ix land leaf_mask in
+      let meta = Array.unsafe_get l.meta s in
+      if meta lsr 1 <> m.gen then journal m l s meta ix)
     s;
   if m.write_hooks <> [] && String.length s > 0 then begin
     (* one notification per touched 32-bit word of a watched page *)
@@ -312,9 +358,7 @@ let load_bytes m ~addr s =
     let last = (addr + String.length s - 1) land lnot 3 in
     let w = ref first in
     while !w <= last do
-      let ix = (!w land addr_mask) lsr page_bits in
-      if ix < Bytes.length m.watched && Bytes.unsafe_get m.watched ix <> '\000'
-      then notify_write m !w;
+      if watched m ((!w land addr_mask) lsr page_bits) then notify_write m !w;
       w := !w + 4
     done
   end
@@ -331,7 +375,7 @@ let load_bytes m ~addr s =
 let clear m =
   for i = 0 to m.dirty_n - 1 do
     let ix = Array.unsafe_get m.dirty i in
-    let p = Array.unsafe_get m.dir ix in
+    let p = page_at m ix in
     if p != zero_page then Bytes.fill p 0 page_size '\000'
   done;
   m.dirty_n <- 0;
@@ -339,37 +383,51 @@ let clear m =
 
 (* ---- whole-memory comparison ---- *)
 
-let page_at m ix =
-  if ix < Array.length m.dir then Array.unsafe_get m.dir ix else zero_page
-
 (* [Bytes.equal] is a memcmp; physical equality catches the
    absent-page/absent-page case without touching contents. *)
 let pages_equal (a : page) (b : page) = a == b || Bytes.equal a b
 
-let equal m1 m2 =
-  let n = max (Array.length m1.dir) (Array.length m2.dir) in
-  let rec go i =
-    i >= n || (pages_equal (page_at m1 i) (page_at m2 i) && go (i + 1))
+(* Leaf [li] of both memories, skipped at once when both are absent. *)
+let leaves_equal m1 m2 li =
+  let l1 = leaf_at m1 li and l2 = leaf_at m2 li in
+  l1 == l2
+  ||
+  let rec go s =
+    s >= leaf_size
+    || (pages_equal (Array.unsafe_get l1.pages s) (Array.unsafe_get l2.pages s)
+       && go (s + 1))
   in
   go 0
 
+let n_leaves m1 m2 = max (Array.length m1.dir) (Array.length m2.dir)
+
+let equal m1 m2 =
+  let n = n_leaves m1 m2 in
+  let rec go li = li >= n || (leaves_equal m1 m2 li && go (li + 1)) in
+  go 0
+
 let first_difference m1 m2 =
-  let n = max (Array.length m1.dir) (Array.length m2.dir) in
-  let diff_in i =
-    let p1 = page_at m1 i and p2 = page_at m2 i in
-    if pages_equal p1 p2 then None
-    else begin
-      let rec scan off =
-        if off >= page_size then None
-        else if get8 p1 off <> get8 p2 off then Some ((i lsl page_bits) lor off)
-        else scan (off + 1)
-      in
-      scan 0
-    end
+  let diff_in ix =
+    let p1 = page_at m1 ix and p2 = page_at m2 ix in
+    let rec scan off =
+      if off >= page_size then None
+      else if get8 p1 off <> get8 p2 off then Some ((ix lsl page_bits) lor off)
+      else scan (off + 1)
+    in
+    if pages_equal p1 p2 then None else scan 0
   in
-  let rec go i =
-    if i >= n then None
-    else match diff_in i with Some _ as r -> r | None -> go (i + 1)
+  let rec in_leaf ix stop =
+    if ix >= stop then None
+    else match diff_in ix with Some _ as r -> r | None -> in_leaf (ix + 1) stop
+  in
+  let n = n_leaves m1 m2 in
+  let rec go li =
+    if li >= n then None
+    else if leaf_at m1 li == leaf_at m2 li then go (li + 1)
+    else
+      match in_leaf (li lsl leaf_bits) ((li + 1) lsl leaf_bits) with
+      | Some _ as r -> r
+      | None -> go (li + 1)
   in
   go 0
 
@@ -381,6 +439,12 @@ let rec dirty_list_equal a b (d : int array) i n =
   let ix = Array.unsafe_get d i in
   pages_equal (page_at a ix) (page_at b ix) && dirty_list_equal a b d (i + 1) n
 
+(* Page [ix] is in [m]'s current dirty list. *)
+let stamped m ix =
+  Array.unsafe_get (leaf_at m (ix lsr leaf_bits)).meta (ix land leaf_mask)
+  lsr 1
+  = m.gen
+
 (* Second pass: [b]'s dirty pages, skipping those already compared because
    they are also in [a]'s current dirty list (both sides usually write the
    same working set, so this skip halves the sweep). *)
@@ -388,9 +452,8 @@ let rec dirty_list_equal_skip a b (d : int array) i n =
   i >= n
   ||
   let ix = Array.unsafe_get d i in
-  (ix < Array.length a.stamp && Array.unsafe_get a.stamp ix = a.gen)
-  || pages_equal (page_at a ix) (page_at b ix)
-     && dirty_list_equal_skip a b d (i + 1) n
+  (stamped a ix || pages_equal (page_at a ix) (page_at b ix))
+  && dirty_list_equal_skip a b d (i + 1) n
 
 (** Ranged comparison over only the pages either memory wrote since its
     last {!dirty_clear}: sound when the caller established [equal a b] at

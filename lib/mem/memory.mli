@@ -1,11 +1,15 @@
-(** Flat, direct-mapped, byte-addressable main memory.
+(** Sparse, paged, byte-addressable main memory.
 
     Addresses are 32-bit (stored in native [int]); contents are big-endian,
     matching the SPARC heritage of the SRISC ISA. Pages are 4 KiB byte
-    buffers held in a page directory indexed by [addr lsr 12], so page
-    resolution on the hot path is an array load, not a hash probe; page
-    buffers are [Bytes.t] so that whole-page comparison (the co-simulation
-    sync's hot operation) is a C [memcmp]. Accesses
+    buffers held in a two-level directory indexed by [addr lsr 12]: the top
+    level maps 1 MiB regions to leaves of 256 pages, and a leaf exists only
+    once its region was written or watched, so a fresh memory costs about a
+    hundred words. A one-entry lookaside over the last page touched makes
+    page resolution on the hot path an integer compare and two loads; only
+    a miss walks the directory. Page buffers are [Bytes.t] so that
+    whole-page comparison (the co-simulation sync's hot operation) is a C
+    [memcmp]. Accesses
     must be naturally aligned — misaligned accesses raise {!Misaligned},
     which the machine layers turn into the [Mem_address_not_aligned]
     trap. *)
@@ -16,9 +20,10 @@ exception Misaligned of int
 (** Raised with the offending address on a misaligned access. *)
 
 val create : unit -> t
-(** A fresh, all-zero memory. Pages are allocated on first write; the
-    directory starts small (16 MiB of address space, the whole conventional
-    layout) and grows on demand. *)
+(** A fresh, all-zero memory. Pages and their directory leaves are
+    allocated on first write (or {!watch}); the top level starts small
+    (16 MiB of address space, the whole conventional layout) and grows on
+    demand. *)
 
 val copy : t -> t
 (** Deep copy (used by the golden-model co-simulation). Hooks, watch bits
@@ -93,7 +98,8 @@ val add_reset_hook : t -> (unit -> unit) -> unit
 
 val equal : t -> t -> bool
 (** Content equality over all touched pages (zero pages are equal to
-    untouched ones). *)
+    untouched ones); regions neither memory touched are skipped a leaf at
+    a time. *)
 
 val first_difference : t -> t -> int option
 (** Address of the first differing byte, if any — for test-mode

@@ -136,43 +136,6 @@ type model = {
 
 let model_nodes m = Array.length m.m_nodes
 
-(* Sort an int array in place: a merge sort comparing with [<] directly,
-   several times faster than [Array.sort Int.compare] on the few hundred
-   keys of a block. *)
-let sort_ints a =
-  let tmp = Array.make (Array.length a) 0 in
-  let rec sort lo hi =
-    if hi - lo <= 12 then
-      for i = lo + 1 to hi - 1 do
-        let x = a.(i) in
-        let j = ref (i - 1) in
-        while !j >= lo && a.(!j) > x do
-          a.(!j + 1) <- a.(!j);
-          decr j
-        done;
-        a.(!j + 1) <- x
-      done
-    else begin
-      let mid = (lo + hi) / 2 in
-      sort lo mid;
-      sort mid hi;
-      let i = ref lo and j = ref mid and k = ref lo in
-      while !k < hi do
-        if !j >= hi || (!i < mid && a.(!i) <= a.(!j)) then begin
-          tmp.(!k) <- a.(!i);
-          incr i
-        end
-        else begin
-          tmp.(!k) <- a.(!j);
-          incr j
-        end;
-        incr k
-      done;
-      Array.blit tmp lo a lo (hi - lo)
-    end
-  in
-  sort 0 (Array.length a)
-
 (* The model's nodes in (trace, node) order. *)
 let trace_order (m : model) =
   let n = Array.length m.m_nodes in
@@ -997,7 +960,9 @@ let schedule ?(node_budget = default_node_budget) g (m : model) =
 
 (** Minimal makespan by brute-force enumeration of every cycle assignment
     (cycles 0..fcfs-1) — an independent implementation used to cross-check
-    the branch-and-bound on small blocks.
+    the branch-and-bound on small blocks. Each op's cycle range is cut to
+    the cycles that can still be part of a shorter schedule (see below),
+    so long latencies cost no more than short ones.
     @raise Invalid_argument over 12 ops. *)
 let exhaustive g (m : model) =
   let n = Array.length m.m_nodes in
@@ -1006,6 +971,10 @@ let exhaustive g (m : model) =
     if n > 12 then invalid_arg "Dts_opt.Opt.exhaustive: too many ops";
     let maxc = m.m_fcfs in
     let cls = Array.map (fun nd -> fu_index nd.n_fu) m.m_nodes in
+    (* [tail.(v)]: the longest weighted path from [v] to any op, so every
+       complete schedule has [cycle v + tail v + 1 <= makespan] *)
+    let tail = Array.make n 0 in
+    longest_paths n m.m_succ_off m.m_succ m.m_succ_w tail;
     let cycle = Array.make n (-1) in
     let used_ded = Array.make (4 * maxc) 0 in
     let used_uni = Array.make maxc 0 in
@@ -1015,30 +984,52 @@ let exhaustive g (m : model) =
         let mk = Array.fold_left (fun a c -> max a (c + 1)) 0 cycle in
         if mk < !best then best := mk
       end
-      else
-        for t = 0 to min (maxc - 1) (!best - 2) do
-          let cl = cls.(v) in
-          let k = (4 * t) + cl in
-          let ok = ref (used_ded.(k) < g.g_ded.(cl) || used_uni.(t) < g.g_uni) in
-          for j = m.m_pred_off.(v) to m.m_pred_off.(v + 1) - 1 do
-            let u = m.m_pred.(j) in
-            if cycle.(u) >= 0 && cycle.(u) + m.m_pred_w.(j) > t then ok := false
-          done;
-          for j = m.m_succ_off.(v) to m.m_succ_off.(v + 1) - 1 do
-            let x = m.m_succ.(j) in
-            if cycle.(x) >= 0 && t + m.m_succ_w.(j) > cycle.(x) then ok := false
-          done;
-          if !ok then begin
-            let ded = used_ded.(k) < g.g_ded.(cl) in
-            if ded then used_ded.(k) <- used_ded.(k) + 1
-            else used_uni.(t) <- used_uni.(t) + 1;
-            cycle.(v) <- t;
-            assign (v + 1);
-            cycle.(v) <- -1;
-            if ded then used_ded.(k) <- used_ded.(k) - 1
-            else used_uni.(t) <- used_uni.(t) - 1
+      else begin
+        (* Lower bound: a cycle below [cycle u + w] for a placed
+           predecessor [u] breaks that edge, so starting the loop at the
+           largest such value skips only cycles the edge check below
+           rejects. *)
+        let lo = ref 0 in
+        for j = m.m_pred_off.(v) to m.m_pred_off.(v + 1) - 1 do
+          let u = m.m_pred.(j) in
+          if cycle.(u) >= 0 && cycle.(u) + m.m_pred_w.(j) > !lo then
+            lo := cycle.(u) + m.m_pred_w.(j)
+        done;
+        (* Upper bound, re-read as [best] falls: a schedule placing [v] at
+           [t] has makespan at least [t + tail v + 1] (the path behind [v]
+           must still fit), which beats [best] only when
+           [t <= best - 2 - tail v], i.e. [t < best - 1 - tail v]. Cycles
+           past it cannot lead to a leaf that updates [best]. *)
+        let rec from t =
+          if t <= min (maxc - 1) (!best - 2 - tail.(v)) then begin
+            let cl = cls.(v) in
+            let k = (4 * t) + cl in
+            let ok =
+              ref (used_ded.(k) < g.g_ded.(cl) || used_uni.(t) < g.g_uni)
+            in
+            for j = m.m_pred_off.(v) to m.m_pred_off.(v + 1) - 1 do
+              let u = m.m_pred.(j) in
+              if cycle.(u) >= 0 && cycle.(u) + m.m_pred_w.(j) > t then ok := false
+            done;
+            for j = m.m_succ_off.(v) to m.m_succ_off.(v + 1) - 1 do
+              let x = m.m_succ.(j) in
+              if cycle.(x) >= 0 && t + m.m_succ_w.(j) > cycle.(x) then ok := false
+            done;
+            if !ok then begin
+              let ded = used_ded.(k) < g.g_ded.(cl) in
+              if ded then used_ded.(k) <- used_ded.(k) + 1
+              else used_uni.(t) <- used_uni.(t) + 1;
+              cycle.(v) <- t;
+              assign (v + 1);
+              cycle.(v) <- -1;
+              if ded then used_ded.(k) <- used_ded.(k) - 1
+              else used_uni.(t) <- used_uni.(t) - 1
+            end;
+            from (t + 1)
           end
-        done
+        in
+        from !lo
+      end
     in
     assign 0;
     !best

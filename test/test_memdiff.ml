@@ -1,8 +1,9 @@
-(* Differential property suite for the flat-page memory substrate.
+(* Differential property suite for the paged memory substrate.
 
-   The memory under test is the direct-mapped page directory over byte
-   buffers with unaligned word primitives and a per-page watch bitmap — a
-   representation chosen entirely for speed. This suite pins its observable
+   The memory under test is a two-level sparse page directory (leaves of
+   256 pages, created on first write or watch) over byte buffers, with
+   unaligned word primitives, per-page watch bits and a one-entry
+   lookaside — a representation chosen entirely for speed. This suite pins its observable
    semantics against a deliberately naive reference model (a sparse byte
    map): random interleavings of reads, writes, bulk loads and forks must
    agree byte-for-byte, including at the wraparound edge of the 32-bit
@@ -287,6 +288,167 @@ let test_dirty_equal_consistency () =
       (Memory.dirty_equal a b)
   done
 
+
+(* ---- the sparse directory: leaves, growth, absent regions ---- *)
+
+(* One address in each of several leaves (1 MiB regions): the first, the
+   last one the initial top level covers, the first one past it (16 MiB,
+   a top-level growth), one mid-space and the top of the 32-bit space
+   (the largest growth). *)
+let leaf_addrs = [| 0x2000; 0xF00000; 0x1000000; 0x40000000; 0xFFFFFFFC |]
+
+let test_sparse_leaves () =
+  reset_rng 0x5EED0006;
+  let m = Memory.create () in
+  let r = Model.create () in
+  for _ = 1 to 4000 do
+    let size = [| 1; 2; 4 |].(rand 3) in
+    let base = leaf_addrs.(rand (Array.length leaf_addrs)) in
+    (* within the two pages up to the base, so each access stays inside
+       the 32-bit space *)
+    let addr = (base - rand 0x2000) land lnot (size - 1) in
+    if rand 2 = 0 then begin
+      let v = rand 0x7FFFFFFF in
+      Memory.write m ~addr ~size v;
+      Model.write r ~addr ~size v
+    end
+    else
+      check_int
+        (Printf.sprintf "read %#x size %d" addr size)
+        (Model.read r ~addr ~size ~signed:false)
+        (Memory.read m ~addr ~size ~signed:false)
+  done;
+  Hashtbl.iter
+    (fun a v -> check_int (Printf.sprintf "byte %#x" a) v (Memory.read_u8 m a))
+    r;
+  let m2 = Memory.copy m in
+  check_bool "copy equal" true (Memory.equal m m2);
+  Memory.write_u8 m2 0xFFFFFFFF (Memory.read_u8 m 0xFFFFFFFF lxor 1);
+  Alcotest.(check (option int))
+    "difference in the top leaf" (Some 0xFFFFFFFF)
+    (Memory.first_difference m m2);
+  (* a memory that never grew against one that did *)
+  let small = Memory.create () and big = Memory.create () in
+  Memory.write_u32 big 0x40000000 0;
+  check_bool "zero write past the initial top level" true
+    (Memory.equal small big && Memory.equal big small);
+  Memory.write_u8 big 0x40000003 7;
+  Alcotest.(check (option int))
+    "difference past the shorter top level" (Some 0x40000003)
+    (Memory.first_difference small big);
+  Alcotest.(check (option int))
+    "and the other way round" (Some 0x40000003)
+    (Memory.first_difference big small)
+
+(* A page that is watched but never written reads zero, compares equal to
+   an absent one and is not carried by a copy; a page that is written but
+   never watched stays silent. *)
+let test_watch_without_write () =
+  let m = Memory.create () in
+  let notified = ref [] in
+  Memory.add_watched_write_hook m (fun a -> notified := a :: !notified);
+  (* one in an existing leaf, one whose leaf only the watch creates *)
+  Memory.watch m 0x3000;
+  Memory.watch m 0x50000000;
+  Memory.write_u32 m 0x1000 0x12345678;
+  Memory.write_u32 m 0x70000000 0x12345678;
+  Memory.load_bytes m ~addr:0x70000010 "abcdef";
+  check_int "unwatched writes notify nothing" 0 (List.length !notified);
+  check_int "watched page reads zero" 0 (Memory.read_u32 m 0x50000000);
+  let fresh = Memory.create () in
+  Memory.write_u32 fresh 0x1000 0x12345678;
+  Memory.write_u32 fresh 0x70000000 0x12345678;
+  Memory.load_bytes fresh ~addr:0x70000010 "abcdef";
+  check_bool "watch bits are not contents" true (Memory.equal m fresh);
+  let c = Memory.copy m in
+  Memory.add_watched_write_hook c (fun _ -> Alcotest.fail "copy kept a watch");
+  Memory.write_u32 c 0x50000000 1;
+  Memory.write_u8 c 0x3001 1;
+  Memory.write_u32 m 0x50000004 9;
+  Memory.write_u16 m 0x3002 9;
+  Alcotest.(check (list int))
+    "watched writes notify once each" [ 0x3002; 0x50000004 ] !notified
+
+(* A copy shares nothing with its source, including in leaves the copy
+   never writes. *)
+let test_copy_untouched_leaves () =
+  let src = Memory.create () in
+  Array.iteri (fun i a -> Memory.write_u32 src (a land lnot 3) (i + 1)) leaf_addrs;
+  let c = Memory.copy src in
+  Memory.write_u32 c 0x2000 100;
+  Array.iteri
+    (fun i a ->
+      if i > 0 then
+        check_int (Printf.sprintf "copy reads source's %#x" a) (i + 1)
+          (Memory.read_u32 c (a land lnot 3)))
+    leaf_addrs;
+  check_int "source unchanged by the copy's write" 1 (Memory.read_u32 src 0x2000);
+  Memory.write_u32 src 0x40000000 200;
+  Memory.write_u32 src 0xFFFFFFFC 300;
+  check_int "copy unchanged by the source (mid leaf)" 4
+    (Memory.read_u32 c 0x40000000);
+  check_int "copy unchanged by the source (top leaf)" 5
+    (Memory.read_u32 c 0xFFFFFFFC);
+  Alcotest.(check (option int))
+    "first difference" (Some 0x2003) (Memory.first_difference src c)
+
+(* A region whose leaf exists but holds only zeros equals a region with no
+   leaf, in either argument order; a nonzero byte in it is found. *)
+let test_zero_leaf_vs_absent () =
+  let a = Memory.create () and b = Memory.create () in
+  Memory.write_u32 a 0x20000000 0;
+  Memory.write_u8 a 0x200FFFFF 0;
+  Memory.watch a 0x30000000;
+  check_bool "equal a b" true (Memory.equal a b);
+  check_bool "equal b a" true (Memory.equal b a);
+  Alcotest.(check (option int)) "no difference" None (Memory.first_difference a b);
+  Alcotest.(check (option int)) "no difference" None (Memory.first_difference b a);
+  Memory.write_u8 a 0x200FFFFF 1;
+  check_bool "differ" false (Memory.equal b a);
+  Alcotest.(check (option int))
+    "last byte of the leaf" (Some 0x200FFFFF) (Memory.first_difference b a)
+
+(* [clear] and [dirty_equal] after each side wrote a leaf the other did
+   not. *)
+let test_disjoint_leaves () =
+  let synced () =
+    let a = Memory.create () and b = Memory.create () in
+    Memory.dirty_clear a;
+    Memory.dirty_clear b;
+    (a, b)
+  in
+  let a, b = synced () in
+  Memory.write_u32 a 0x10000000 1;
+  Memory.write_u32 b 0x20000000 1;
+  check_bool "disjoint nonzero writes" false (Memory.dirty_equal a b);
+  (* [b] writes a page [a] also wrote, then one [a] did not: the second
+     must still be compared *)
+  let a, b = synced () in
+  Memory.write_u32 a 0x1000 5;
+  Memory.write_u32 b 0x1000 5;
+  Memory.write_u32 b 0x20000000 1;
+  check_bool "b-only page after a shared one" (Memory.equal a b)
+    (Memory.dirty_equal a b);
+  check_bool "and from the other side" (Memory.equal b a) (Memory.dirty_equal b a);
+  let a, b = synced () in
+  Memory.write_u32 a 0x10000000 0;
+  Memory.write_u32 b 0x20000000 0;
+  check_bool "disjoint zero writes" true (Memory.dirty_equal a b);
+  (* [clear] sweeps every leaf its journal names *)
+  let a = Memory.create () and b = Memory.create () in
+  Memory.write_u32 a 0x10000000 7;
+  Memory.write_u16 a 0xFFFFFFFE 7;
+  Memory.write_u32 b 0x20000000 7;
+  Memory.load_bytes b ~addr:0x3000 "xyz";
+  Memory.clear a;
+  Memory.clear b;
+  check_bool "cleared memories equal" true (Memory.equal a b);
+  check_bool "cleared equals fresh" true (Memory.equal a (Memory.create ()));
+  Memory.write_u8 a 0x10000001 3;
+  Memory.write_u8 b 0x10000001 3;
+  check_bool "reused after clear" true (Memory.equal a b);
+  check_int "read after clear" 0 (Memory.read_u32 b 0x20000000)
+
 let suite =
   [
     Alcotest.test_case "random ops vs byte-map model" `Quick test_random_ops;
@@ -297,4 +459,14 @@ let suite =
       test_watched_hook_counts;
     Alcotest.test_case "dirty_equal agrees with equal" `Quick
       test_dirty_equal_consistency;
+    Alcotest.test_case "sparse leaves and growth vs model" `Quick
+      test_sparse_leaves;
+    Alcotest.test_case "watched-only and written-only pages" `Quick
+      test_watch_without_write;
+    Alcotest.test_case "copy independence across leaves" `Quick
+      test_copy_untouched_leaves;
+    Alcotest.test_case "zero leaf equals absent leaf" `Quick
+      test_zero_leaf_vs_absent;
+    Alcotest.test_case "clear and dirty_equal, disjoint leaves" `Quick
+      test_disjoint_leaves;
   ]
